@@ -23,8 +23,9 @@ in the ``service`` section of ``BENCH_perf.json`` (schema v6):
   certifies the two nodes published byte-identical snapshots at the end;
 * ``window_estimates_per_sec`` (schema v7) — sustained
   ``GET /v1/estimate?window=W`` throughput against a service running
-  with ``epoch_interval`` set, each query tree-merging the newest
-  epoch partials and running the full estimate pipeline.  CI's
+  with ``epoch_interval`` set, after ingest stops: the first query
+  merges the newest epoch partials and runs the full estimate
+  pipeline, repeats answer from the ring's window cache.  CI's
   ``--min-window-estimate`` floor reads it;
   ``window_ingest_reports_per_sec`` is acknowledged ingest with
   temporal epoch folding enabled (the ring-maintenance price).
@@ -365,10 +366,11 @@ async def _run_windowed(total_reports: int, queries: int, data_dir: Path) -> dic
     """Temporal leg: epoch-rolling ingest, then sliding-window queries.
 
     The service runs with ``epoch_interval`` set, so every fold also
-    lands in the epoch ring; each timed query then tree-merges the
+    lands in the epoch ring; the first timed query then tree-merges the
     newest ``WINDOW_QUERY`` epoch partials and runs the full estimate
     pipeline (FWHT + Eq. (5)) on the merged accumulators — no publish
-    required.  ``window_estimates_per_sec`` is the number CI's
+    required — and, with no fold in between, every repeat answers from
+    the ring's window cache (HTTP round trip + Eq. (5) only).  ``window_estimates_per_sec`` is the number CI's
     ``--min-window-estimate`` floor reads.
     """
     service = AggregationService(

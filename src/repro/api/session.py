@@ -37,6 +37,7 @@ evaluates Eq. (27).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -222,17 +223,22 @@ class JoinSession:
         :meth:`to_partial` / :meth:`merge` to refuse unsafe merges
         (wrong seed, wrong ``m``, wrong ``epsilon``) at the wire level.
         """
-        from ..distributed.partial import fingerprint_digest
-
         return {
             "k": self.params.k,
             "m": self.params.m,
             "privacy budget (epsilon)": self.params.epsilon,
             "attribute widths": [p.m for p in self._pairs],
-            "hash pairs digest": fingerprint_digest(
-                [p.to_dict() for p in self._pairs]
-            ),
+            "hash pairs digest": self._pairs_digest,
         }
+
+    @functools.cached_property
+    def _pairs_digest(self) -> str:
+        # ``_pairs`` is fixed at construction, so the digest (a JSON
+        # encode + sha256 of every hash pair) is computed once; every
+        # partial emit and merge check reads it.
+        from ..distributed.partial import fingerprint_digest
+
+        return fingerprint_digest([p.to_dict() for p in self._pairs])
 
     # ------------------------------------------------------------------
     # Ingestion

@@ -51,7 +51,6 @@ import numpy as np
 from ..api.session import JoinSession
 from ..core.params import SketchParams
 from ..distributed.checkpoint import ShardCheckpoint
-from ..distributed.merge import merge_tree
 from ..errors import (
     CheckpointCorruptError,
     ParameterError,
@@ -615,11 +614,13 @@ class AggregationService:
     ) -> dict:
         """Sliding-window estimate over the newest ``window`` epochs.
 
-        The window session is a fresh tree-merge of the ring's partials
-        (plus the open epoch) — pure over deterministic WAL state, so
-        the query is retry-safe and two replicas that agree on the WAL
-        return identical bytes.  Each answered release is noted on the
-        continual-observation ledger per covered epoch.
+        Answered by :meth:`TemporalSession.window_estimate` — the
+        tree-merge of the ring's partials plus the open epoch, memoised
+        until the next fold — which is pure over deterministic WAL
+        state, so the query is retry-safe and two replicas that agree on
+        the WAL return identical bytes.  Each answered release, cached
+        or not, is noted on the continual-observation ledger per covered
+        epoch.
         """
         self._require_started()
         if self._temporal is None:
@@ -629,24 +630,23 @@ class AggregationService:
             )
         temporal = self._temporal
 
-        def run() -> Tuple[list, dict]:
+        def run() -> dict:
             fault_point("service.query", kind="window", tenant=str(tenant))
-            entries = temporal.window_entries(window)
-            session = JoinSession(self.config.params, pairs=self._coordinator.pairs)
-            session.merge(merge_tree([partial for _, partial in entries]))
-            result = session.estimate(
-                self._qualify(tenant, stream_a), self._qualify(tenant, stream_b)
+            result = temporal.window_estimate(
+                self._qualify(tenant, stream_a),
+                self._qualify(tenant, stream_b),
+                window,
             )
-            return entries, {
+            return {
                 "estimate": float(result.estimate),
                 "num_reports": int(result.extras["num_reports"]),
                 "streams": [stream_a, stream_b],
                 "window": int(window),
-                "epochs": [epoch for epoch, _ in entries],
+                "epochs": result.extras["epochs"],
             }
 
-        entries, answer = self._retry.call(run, operation="service.query.window")
-        temporal.note_release(tenant, entries)
+        answer = self._retry.call(run, operation="service.query.window")
+        temporal.continual.note_release(tenant, answer["epochs"])
         return answer
 
     def estimate_chain(self, tenant: str, streams: Sequence[str]) -> dict:

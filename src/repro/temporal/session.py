@@ -11,13 +11,21 @@ only the window's batches.
 
 Three query shapes:
 
-* **sliding** (:meth:`window_session`) — the newest ``W`` epochs at any
-  moment, open bucket included by default;
+* **sliding** (:meth:`window_session`, :meth:`window_estimate`) — the
+  newest ``W`` epochs at any moment, open bucket included by default;
 * **tumbling** (:meth:`tumbling_session`) — the last *complete* aligned
   block of ``width`` epochs (``[b*width, (b+1)*width)``);
 * **decayed** (:meth:`decayed_estimate`) — exponentially down-weighted
   combination with an exact rational decay factor
   (:mod:`repro.temporal.decay`).
+
+Sliding windows are cached, with results byte-identical to a fresh
+merge: the tree-merge of a window's closed epochs is memoised per span
+until the next :meth:`~TemporalSession.roll` (which clears it), and
+:meth:`~TemporalSession.window_estimate` reuses its last window session
+— transformed sketches included — until the next fold (``collect``,
+``collect_pair`` or ``roll``).  :meth:`~TemporalSession.window_session`
+always returns a fresh session the caller may mutate.
 
 Every epoch close also charges the
 :class:`~repro.privacy.ContinualLedger`: epoch cohorts are keyed
@@ -28,8 +36,9 @@ continual-observation accounting across re-released epochs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..api.result import EstimateResult
 from ..api.session import JoinSession
 from ..core.params import SketchParams
 from ..distributed.merge import merge_tree
@@ -88,6 +97,16 @@ class TemporalSession:
         self._open = self._spawn_epoch_shard()
         self._epoch = 0
         self.continual = ContinualLedger() if continual is None else continual
+        # Query caches.  ``_spans`` maps a closed-epoch span (first,
+        # last) to its tree-merged partial; the ring only changes on
+        # roll, which clears it, so it holds at most one entry per
+        # suffix of the ring.  ``_version`` counts mutations (collect,
+        # collect_pair, roll); the last window session is reused while
+        # ``(window, include_open, version)`` is unchanged.
+        self._spans: Dict[Tuple[int, int], PartialAggregate] = {}
+        self._version = 0
+        self._answer_key: Optional[tuple] = None
+        self._answer: Optional[Tuple[JoinSession, List[int]]] = None
 
     def _spawn_epoch_shard(self) -> JoinSession:
         return self._coordinator.spawn_shard(
@@ -129,11 +148,13 @@ class TemporalSession:
     def collect(self, stream: str, values, **kwargs) -> "TemporalSession":
         """Fold one end-table cohort into the open epoch's ``stream``."""
         self._open.collect(stream, values, **kwargs)
+        self._version += 1
         return self
 
     def collect_pair(self, stream: str, *args, **kwargs) -> "TemporalSession":
         """Fold one middle-table cohort into the open epoch's ``stream``."""
         self._open.collect_pair(stream, *args, **kwargs)
+        self._version += 1
         return self
 
     def roll(self) -> PartialAggregate:
@@ -154,6 +175,8 @@ class TemporalSession:
             )
         self._epoch += 1
         self._open = self._spawn_epoch_shard()
+        self._spans.clear()
+        self._version += 1
         return partial
 
     def roll_to(self, epoch: int) -> int:
@@ -220,15 +243,63 @@ class TemporalSession:
     ) -> JoinSession:
         """A fresh session holding exactly the window's accumulators.
 
-        Tree-merges the window's partials — integer adds on
-        pre-transform accumulators — so the result is byte-identical to
-        a session that ingested only the window's batches, and every
-        :class:`~repro.api.JoinSession` query runs on it unchanged.
+        Merges the window's closed epochs (one memoised tree-merge per
+        span, reused until the next :meth:`roll`) and then the open
+        epoch's fresh partial — integer adds on pre-transform
+        accumulators, charges concatenated in epoch order — so the
+        result is byte-identical to a session that ingested only the
+        window's batches, and every :class:`~repro.api.JoinSession`
+        query runs on it unchanged.  The session is the caller's to
+        mutate: no cache holds it.
         """
+        return self._build_window(window, include_open)[0]
+
+    def window_estimate(
+        self,
+        stream_a: str,
+        stream_b: str,
+        window: Optional[int],
+        *,
+        include_open: bool = True,
+    ) -> EstimateResult:
+        """Eq. (5) estimate over a sliding window, cached until the next fold.
+
+        Equal, bit for bit, to ``window_session(window,
+        include_open=include_open).estimate(stream_a, stream_b)``.  The
+        window session (with its transformed sketches) is kept until the
+        next ``collect`` / ``collect_pair`` / ``roll``, so repeat queries
+        on an unchanged ring skip the merge and the FWHT.  The result's
+        ``extras["epochs"]`` lists the covered epochs, oldest first.
+        """
+        key = (window, include_open, self._version)
+        if self._answer_key != key:
+            self._answer = self._build_window(window, include_open)
+            self._answer_key = key
+        session, epochs = self._answer
+        result = session.estimate(stream_a, stream_b)
+        result.extras["epochs"] = list(epochs)
+        return result
+
+    def _build_window(
+        self, window: Optional[int], include_open: bool
+    ) -> Tuple[JoinSession, List[int]]:
+        """A fresh window session plus the epochs it covers."""
         entries = self.window_entries(window, include_open=include_open)
+        closed = entries[:-1] if include_open else entries
         session = JoinSession(self.params, pairs=self._coordinator.pairs)
-        session.merge(merge_tree([partial for _, partial in entries]))
-        return session
+        if closed:
+            span = (closed[0][0], closed[-1][0])
+            merged = self._spans.get(span)
+            if merged is None:
+                merged = self._spans[span] = merge_tree(
+                    [partial for _, partial in closed]
+                )
+            # Merging reads the partial without mutating it, so the
+            # memoised span stays valid for the next query.
+            session.merge(merged)
+        if include_open:
+            session.merge(entries[-1][1])
+        return session, [epoch for epoch, _ in entries]
 
     def tumbling_session(self, width: int) -> JoinSession:
         """The last complete aligned block of ``width`` epochs.

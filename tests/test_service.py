@@ -28,6 +28,7 @@ from repro.errors import (
     ParameterError,
     PartialIntegrityError,
     ProtocolError,
+    RetryExhaustedError,
 )
 from repro.reliability import FaultPlan, FaultSpec
 from repro.reliability.faults import injected
@@ -859,6 +860,82 @@ class TestTemporalService:
         service = AggregationService(make_config(tmp_path))
         service.start()
         assert service.status()["temporal"] is None
+        service.close()
+
+    def _started(self, tmp_path, batches):
+        service = AggregationService(self._temporal_config(tmp_path))
+        service.start()
+        for tenant, stream, values in batches:
+            service.ingest(tenant, stream, values)
+        return service
+
+    def test_cached_window_answers_still_note_releases(self, tmp_path):
+        service = self._started(tmp_path, make_batches(7))
+        continual = service._temporal.continual
+        answers = [service.estimate(TENANT, "A", "B", window=2) for _ in range(3)]
+        assert answers[0] == answers[1] == answers[2]
+        epochs = answers[0]["epochs"]
+        assert continual.releases == {(TENANT, epoch): 3 for epoch in epochs}
+        service.estimate(TENANT, "A", "B", window=3)
+        assert sum(continual.releases.values()) == 3 * len(epochs) + 3
+        service.close()
+
+    def test_window_fault_fires_on_cache_hit(self, tmp_path):
+        service = self._started(tmp_path, make_batches(7))
+        continual = service._temporal.continual
+        warm = service.estimate(TENANT, "A", "B", window=2)
+        released = dict(continual.releases)
+
+        # Every attempt faulted: the hit must still pass the fault point,
+        # so the query fails and no release is noted.
+        exhausting = FaultPlan(
+            [FaultSpec(point="service.query", times=3, match={"kind": "window"})]
+        )
+        with injected(exhausting):
+            with pytest.raises(RetryExhaustedError):
+                service.estimate(TENANT, "A", "B", window=2)
+        assert continual.releases == released
+
+        absorbed = FaultPlan(
+            [FaultSpec(point="service.query", times=1, match={"kind": "window"})]
+        )
+        with injected(absorbed):
+            assert service.estimate(TENANT, "A", "B", window=2) == warm
+        assert continual.releases == {
+            key: count + 1 for key, count in released.items()
+        }
+        service.close()
+
+    def test_collect_into_open_epoch_changes_window_answer(self, tmp_path):
+        batches = make_batches(8)
+        service = self._started(tmp_path, batches[:7])
+        before = service.estimate(TENANT, "A", "B", window=2)
+        # Record 7 lands in the open epoch 3: no roll, only a fold.
+        service.ingest(*batches[7])
+        assert service.status()["temporal"]["epoch"] == 7 // self.INTERVAL
+        after = service.estimate(TENANT, "A", "B", window=2)
+        assert after["epochs"] == before["epochs"]
+        assert after["num_reports"] == before["num_reports"] + len(batches[7][2])
+        assert after["estimate"] != before["estimate"]
+        service.close()
+
+    def test_span_memo_bounded_and_cleared_on_roll(self, tmp_path):
+        service = AggregationService(self._temporal_config(tmp_path))
+        service.start()
+        temporal = service._temporal
+        rolls = 0
+        for index, (tenant, stream, values) in enumerate(make_batches(20)):
+            epoch, spans = temporal.epoch, len(temporal._spans)
+            service.ingest(tenant, stream, values)
+            if temporal.epoch != epoch:
+                rolls += spans > 0
+                assert len(temporal._spans) == 0
+            if index % 2 == 0:
+                continue  # the open epoch holds A only until B arrives
+            for window in range(1, self.RETAINED + 2):
+                service.estimate(TENANT, "A", "B", window=window)
+                assert len(temporal._spans) <= self.RETAINED + 1
+        assert rolls == 20 // self.INTERVAL - 2  # every roll after epoch 1
         service.close()
 
     def test_http_windowed_round_trip(self, tmp_path):

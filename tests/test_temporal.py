@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import JoinSession, available_estimators, get_estimator
 from repro.core import SketchParams
+from repro.distributed import merge_tree
 from repro.errors import ParameterError, ProtocolError
 from repro.temporal import (
     EpochRing,
@@ -268,6 +269,156 @@ class TestWindowByteIdentity:
             windowed.estimate("A", "B").estimate
             == fresh.estimate("A", "B").estimate
         )
+
+
+class TestWindowCache:
+    """Cached window answers == a fresh, uncached merge, bit for bit.
+
+    Random schedules of ``collect`` / ``collect_pair`` / ``roll`` /
+    query drive one long-lived session whose closed-span memo and
+    last-answer cache stay warm; at every query point a second session,
+    rebuilt from the schedule prefix with empty caches, and a plain
+    ``merge_tree`` over the window's entries are the references.  Every
+    width from 1 to capacity (+1 with the open epoch) is asked, both
+    with and without the open epoch.
+    """
+
+    CAPACITY = 3
+
+    @pytest.fixture
+    def pairs(self, params):
+        # Two join attributes so middle-table (collect_pair) cohorts can
+        # ride in the same epochs as the A/B end streams.
+        coordinator = JoinSession(params, attribute_widths=[64, 64], seed=7)
+        return coordinator.pairs
+
+    def _schedule(self, seed: int, steps: int = 40):
+        rng = np.random.default_rng(seed)
+        ops = []
+        for step in range(steps):
+            roll = rng.random()
+            if roll < 0.25:
+                ops.append(("roll",))
+            elif roll < 0.4:
+                ops.append(("pair", 1000 + step))
+            elif roll < 0.75:
+                ops.append(("collect", "AB"[int(rng.integers(2))], 1000 + step))
+            else:
+                ops.append(("query",))
+        return ops
+
+    def _apply(self, session, op) -> None:
+        if op[0] == "roll":
+            session.roll()
+        elif op[0] == "pair":
+            values = zipf_values(60, 64, 1.1, seed=op[1])
+            session.collect_pair("M", values, values[::-1].copy(), seed=op[1])
+        elif op[0] == "collect":
+            session.collect(op[1], zipf_values(80, 64, 1.2, seed=op[2]), seed=op[2])
+
+    def _replay(self, params, pairs, ops) -> TemporalSession:
+        session = TemporalSession(
+            params, window_epochs=self.CAPACITY, seed=3, pairs=pairs
+        )
+        for op in ops:
+            self._apply(session, op)
+        return session
+
+    @staticmethod
+    def _tree_merged(session, window, include_open) -> JoinSession:
+        entries = session.window_entries(window, include_open=include_open)
+        merged = JoinSession(session.params, pairs=session.pairs)
+        merged.merge(merge_tree([partial for _, partial in entries]))
+        return merged
+
+    def _shapes(self):
+        for include_open in (False, True):
+            for window in range(1, self.CAPACITY + 1 + int(include_open)):
+                yield window, include_open
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_cached_answers_match_fresh_merge(self, params, pairs, seed):
+        ops = self._schedule(seed)
+        cached = self._replay(params, pairs, [])
+        for index, op in enumerate(ops):
+            self._apply(cached, op)
+            if op[0] != "query":
+                continue
+            fresh = self._replay(params, pairs, ops[: index + 1])
+            shapes = list(self._shapes())
+            # The answer cache still holds the previous sweep's last
+            # shape: asking it first checks that every mutation since
+            # (collect, collect_pair or roll alone) invalidated it.
+            for window, include_open in [shapes[-1], *shapes]:
+                try:
+                    reference = self._tree_merged(fresh, window, include_open)
+                    expected = reference.estimate("A", "B")
+                except ProtocolError:
+                    with pytest.raises(ProtocolError):
+                        cached.window_estimate(
+                            "A", "B", window, include_open=include_open
+                        )
+                    continue
+                assert fresh.window_session(
+                    window, include_open=include_open
+                ).to_partial(include_timing=False) == reference.to_partial(
+                    include_timing=False
+                )
+                assert cached.window_session(
+                    window, include_open=include_open
+                ).to_partial(include_timing=False) == reference.to_partial(
+                    include_timing=False
+                )
+                for _ in range(2):  # miss, then answer-cache hit
+                    got = cached.window_estimate(
+                        "A", "B", window, include_open=include_open
+                    )
+                    assert got.estimate == expected.estimate
+                    assert got.extras["num_reports"] == expected.extras["num_reports"]
+                    assert got.ledger.charges == expected.ledger.charges
+                    assert got.extras["epochs"] == [
+                        epoch
+                        for epoch, _ in fresh.window_entries(
+                            window, include_open=include_open
+                        )
+                    ]
+            assert len(cached._spans) <= self.CAPACITY + 1
+
+    def test_mutating_window_session_leaves_cache_intact(self, params, pairs):
+        session = self._replay(
+            params,
+            pairs,
+            [("collect", "A", 1), ("collect", "B", 2), ("roll",),
+             ("collect", "A", 3), ("collect", "B", 4), ("roll",),
+             ("collect", "A", 5), ("collect", "B", 6)],
+        )
+        before = session.window_estimate("A", "B", 3).estimate
+        reference = self._tree_merged(session, 3, True).estimate("A", "B").estimate
+        assert before == reference
+
+        escaped = session.window_session(3)
+        escaped.collect("A", zipf_values(500, 64, 1.2, seed=9), seed=9)
+        other = JoinSession(params, pairs=pairs)
+        other.collect("B", zipf_values(500, 64, 1.2, seed=10), seed=10)
+        escaped.merge(other)
+        assert escaped.estimate("A", "B").estimate != before
+
+        assert session.window_estimate("A", "B", 3).estimate == before
+        assert session.window_session(3).estimate("A", "B").estimate == before
+
+    def test_span_memo_is_cleared_by_roll(self, params, pairs):
+        session = self._replay(
+            params, pairs, [("collect", "A", 1), ("collect", "B", 2), ("roll",)] * 4
+        )
+        session.collect("A", zipf_values(80, 64, 1.2, seed=11), seed=11)
+        session.collect("B", zipf_values(80, 64, 1.2, seed=12), seed=12)
+        for window in range(1, self.CAPACITY + 2):
+            session.window_estimate("A", "B", window)
+        for window in range(1, self.CAPACITY + 1):
+            session.window_estimate("A", "B", window, include_open=False)
+        assert 0 < len(session._spans) <= self.CAPACITY + 1
+        session.roll()
+        assert len(session._spans) == 0
 
 
 class TestDecayedEstimate:
