@@ -4,7 +4,7 @@ Drives the real asyncio HTTP server end to end — socket, HTTP/1.1
 parsing, admission control, WAL append + fsync, shard fold — with a
 handful of keep-alive client connections POSTing batched reports, then
 measures query latency against the published snapshot.  The numbers land
-in the ``service`` section of ``BENCH_perf.json`` (schema v6):
+in the ``service`` section of ``BENCH_perf.json`` (schema v8):
 
 * ``ingest_reports_per_sec`` — sustained acknowledged-report throughput
   over the whole load phase (every report durably in the WAL before its
@@ -15,6 +15,13 @@ in the ``service`` section of ``BENCH_perf.json`` (schema v6):
 * ``throttled`` — 429 responses absorbed by the generator's retry loop
   (0 under the default shape: each connection awaits its ack before the
   next batch, so at most ``connections`` batches are ever in flight);
+* ``recover_reports_per_sec`` (schema v8) — cold-restart throughput: a
+  fresh in-process :class:`AggregationService` ``start()`` over the data
+  directory the load phase just left (WAL scan, checkpoint loads,
+  re-fold of the suffix past them), reports in the WAL per second of
+  wall-clock, median of ``RECOVER_REPEATS`` restarts.  CI's
+  ``--min-recover`` floor reads it; ``recover_p50_ms`` is the restart
+  time itself;
 * ``quorum_ingest_reports_per_sec`` (schema v6) — the same acknowledged
   throughput through a primary/standby pair in ``ack_mode=quorum``:
   every ack now additionally waits for the standby to apply the shipped
@@ -93,6 +100,9 @@ WINDOW_QUERY = 4
 
 SERVICE_SHARDS = 4
 SERVICE_SEED = 20240101
+
+#: Cold restarts timed over the ingest leg's data directory.
+RECOVER_REPEATS = 5
 
 
 class _Client:
@@ -192,14 +202,34 @@ async def _drive(
         await client.close()
 
 
+def _measure_recovery(config: ServiceConfig, reports: int) -> dict:
+    """Time fresh in-process ``start()`` calls over ``config.data_dir``.
+
+    Each restart is a new service recovering the WAL and checkpoints the
+    load phase left behind; only the WAL handle is released afterwards
+    (no flush), so every repeat recovers identical bytes.
+    """
+    seconds: List[float] = []
+    for _ in range(RECOVER_REPEATS):
+        service = AggregationService(config)
+        start = time.perf_counter()
+        service.start()
+        seconds.append(time.perf_counter() - start)
+        service.wal.close()
+    p50 = float(np.median(seconds))
+    return {
+        "recover_p50_ms": p50 * 1e3,
+        "recover_reports_per_sec": reports / p50 if p50 > 0 else float("inf"),
+    }
+
+
 async def _run(total_reports: int, queries: int, data_dir: Path) -> dict:
-    service = AggregationService(
-        ServiceConfig(
-            data_dir=data_dir,
-            num_shards=SERVICE_SHARDS,
-            seed=SERVICE_SEED,
-        )
+    config = ServiceConfig(
+        data_dir=data_dir,
+        num_shards=SERVICE_SHARDS,
+        seed=SERVICE_SEED,
     )
+    service = AggregationService(config)
     server = ServiceServer(
         service,
         ServerConfig(
@@ -247,6 +277,7 @@ async def _run(total_reports: int, queries: int, data_dir: Path) -> dict:
         wal_bytes = (data_dir / "wal.log").stat().st_size
     finally:
         await server.shutdown()
+    recovery = _measure_recovery(config, total_reports)
 
     ingest = np.asarray(ingest_ms)
     query = np.asarray(query_ms)
@@ -269,6 +300,7 @@ async def _run(total_reports: int, queries: int, data_dir: Path) -> dict:
         "query_p50_ms": float(np.percentile(query, 50)),
         "query_p99_ms": float(np.percentile(query, 99)),
         "wal_bytes": wal_bytes,
+        **recovery,
     }
 
 
@@ -481,6 +513,11 @@ def main(argv=None) -> int:
         f"(ack p50 {section['ingest_p50_ms']:.2f}ms, "
         f"p99 {section['ingest_p99_ms']:.2f}ms); query p50 "
         f"{section['query_p50_ms']:.2f}ms, p99 {section['query_p99_ms']:.2f}ms"
+    )
+    print(
+        f"[bench] cold restart {section['recover_reports_per_sec']:,.0f} "
+        f"reports/s ({section['recover_p50_ms']:.1f}ms to recover "
+        f"{section['n']:,} reports)"
     )
     print(
         f"[bench] quorum-ack ingest "

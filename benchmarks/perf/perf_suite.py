@@ -53,6 +53,9 @@ every PR has a perf baseline to beat:
   shape against a service running with ``epoch_interval`` set, then a
   burst of ``GET /v1/estimate?window=W`` sliding-window queries, with
   ``window_estimates_per_sec`` read by ``--min-window-estimate``.
+  Schema v8 adds the cold restart: fresh in-process ``start()`` calls
+  over the ingest leg's data directory, with
+  ``recover_reports_per_sec`` read by ``--min-recover``.
 
 :func:`run_suite` returns a JSON-compatible payload;
 :func:`validate_payload` is the schema check CI runs against the emitted
@@ -85,7 +88,7 @@ from repro.hashing import HashPairs
 from repro.hashing.kwise import MERSENNE_PRIME_31
 from repro.rng import derive_seed, ensure_rng
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Shard count of the ``distributed`` section (one tree of depth 3).
 DISTRIBUTED_SHARDS = 8
@@ -692,6 +695,8 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
         "query_p50_ms",
         "query_p99_ms",
         "wal_bytes",
+        "recover_p50_ms",
+        "recover_reports_per_sec",
         "quorum_n",
         "quorum_replicas",
         "quorum_throttled",

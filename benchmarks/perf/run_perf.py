@@ -120,6 +120,15 @@ def main(argv=None) -> int:
         "sustained at least X sliding-window estimates/sec on an idle, "
         "unchanged ring (repeat queries answer from the window cache)",
     )
+    parser.add_argument(
+        "--min-recover",
+        type=float,
+        default=None,
+        metavar="X",
+        help="with --validate: fail unless a cold in-process restart of the "
+        "service recovered at least X WAL reports/sec over the data "
+        "directory the ingest leg left behind",
+    )
     args = parser.parse_args(argv)
 
     # Flags are mode-specific; a CI edit that drops --validate must fail
@@ -137,6 +146,7 @@ def main(argv=None) -> int:
             ("--min-service-ingest", args.min_service_ingest is not None),
             ("--min-quorum-ingest", args.min_quorum_ingest is not None),
             ("--min-window-estimate", args.min_window_estimate is not None),
+            ("--min-recover", args.min_recover is not None),
         ):
             if given:
                 parser.error(f"{flag} only applies with --validate")
@@ -276,6 +286,21 @@ def main(argv=None) -> int:
                 f"{service['window_query_p99_ms']:.2f}ms; temporal ingest "
                 f"{service['window_ingest_reports_per_sec']:,.0f} reports/s)"
             )
+        if args.min_recover is not None:
+            service = payload["sections"]["service"]
+            if service["recover_reports_per_sec"] < args.min_recover:
+                print(
+                    f"[fail] cold restart at "
+                    f"{service['recover_reports_per_sec']:,.0f} reports/s — "
+                    f"below the {args.min_recover:,.0f}/s floor"
+                )
+                return 1
+            print(
+                f"[ok] cold restart at "
+                f"{service['recover_reports_per_sec']:,.0f} reports/s "
+                f"({service['recover_p50_ms']:.1f}ms for {service['n']:,.0f} "
+                f"reports)"
+            )
         print(f"[ok] {args.validate} matches BENCH_perf schema v{payload['schema_version']}")
         return 0
 
@@ -337,7 +362,8 @@ def main(argv=None) -> int:
         f"{service['ingest_reports_per_sec']:,.0f} reports/s "
         f"(ack p50 {service['ingest_p50_ms']:.2f}ms / p99 "
         f"{service['ingest_p99_ms']:.2f}ms), query p50 "
-        f"{service['query_p50_ms']:.2f}ms / p99 {service['query_p99_ms']:.2f}ms"
+        f"{service['query_p50_ms']:.2f}ms / p99 {service['query_p99_ms']:.2f}ms, "
+        f"cold restart {service['recover_reports_per_sec']:,.0f} reports/s"
     )
     print(
         f"[bench] quorum-ack ingest (1 standby, n={service['quorum_n']:.0f}): "

@@ -46,7 +46,12 @@ import numpy as np
 
 from ..accumulate import scatter_add_signed_units
 from ..backend import resolve_backend, use_backend
-from ..core.client import DEFAULT_CHUNK_SIZE, ReportBatch, encode_reports_into
+from ..core.client import (
+    DEFAULT_CHUNK_SIZE,
+    PackedReports,
+    ReportBatch,
+    encode_reports_into,
+)
 from ..core.multiway import (
     LDPCompassProtocol,
     LDPMiddleSketch,
@@ -246,7 +251,7 @@ class JoinSession:
     def collect(
         self,
         stream: str,
-        values: Union[np.ndarray, Sequence[int], ReportBatch],
+        values: Union[np.ndarray, Sequence[int], ReportBatch, PackedReports],
         *,
         attribute: int = 0,
         seed: RandomState = None,
@@ -256,9 +261,11 @@ class JoinSession:
 
         ``values`` is either raw client values (the session simulates the
         Algorithm 1 clients, drawing randomness from ``seed`` or the
-        session generator) or a pre-encoded :class:`ReportBatch` received
-        from real clients.  Cohorts are disjoint user groups, so each
-        ``collect`` call composes in parallel on the privacy ledger.
+        session generator) or pre-encoded reports received from real
+        clients — a :class:`ReportBatch` or :class:`PackedReports`, which
+        fold by accumulation alone and draw no randomness.  Cohorts are
+        disjoint user groups, so each ``collect`` call composes in
+        parallel on the privacy ledger.
 
         Simulated cohorts route through the fused
         :func:`~repro.core.client.encode_reports_into` kernel, which
@@ -272,7 +279,7 @@ class JoinSession:
         start = time.perf_counter()
         state = self._end_state(stream, attribute)
         expected = self.params_for(state.attribute)
-        if isinstance(values, ReportBatch):
+        if isinstance(values, (ReportBatch, PackedReports)):
             batch = values
             if batch.params != expected:
                 raise IncompatibleSketchError(
@@ -280,7 +287,14 @@ class JoinSession:
                     f"attribute {state.attribute} parameters {expected}"
                 )
             num_new = len(batch)
-            if num_new:
+            if num_new and isinstance(batch, PackedReports):
+                cells, ys = batch.cells_and_signs()
+                with use_backend(self.backend):
+                    # ``raw`` is always an owned C-contiguous array
+                    # (allocated or decoded, then updated in place), so
+                    # the flat reshape is a view the scatter lands in.
+                    scatter_add_signed_units(state.raw.reshape(-1), (cells,), ys)
+            elif num_new:
                 with use_backend(self.backend):
                     scatter_add_signed_units(
                         state.raw, (batch.rows, batch.cols), batch.ys

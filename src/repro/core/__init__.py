@@ -7,6 +7,9 @@ Public surface:
   LDPJoinSketch client (scalar and vectorised forms);
 * :class:`ReportBatch` — the wire format (``y``, row index, column index)
   plus communication-cost accounting;
+* :class:`PackedReports` / :func:`encode_reports_packed` — the same
+  reports packed one unsigned code per report, as the online service
+  logs and replicates them;
 * :class:`LDPJoinSketch` and :func:`build_sketch` — Algorithm 2 (PriSK),
   the server-side construction, with Eq. (5) join estimation and
   Theorem 7 frequency estimation;
@@ -23,12 +26,15 @@ Public surface:
 from .params import SketchParams
 from .client import (
     DEFAULT_CHUNK_SIZE,
+    PackedReports,
     ReportBatch,
     encode_report,
     encode_reports,
     encode_reports_grouped_into,
     encode_reports_into,
+    encode_reports_packed,
     encode_reports_trials_into,
+    packed_report_dtype,
 )
 from .server import LDPJoinSketch, build_sketch
 from .aggregator import LDPJoinSketchAggregator
@@ -46,9 +52,12 @@ from .protocol import JoinEstimate, run_ldp_join_sketch, run_ldp_join_sketch_plu
 __all__ = [
     "SketchParams",
     "ReportBatch",
+    "PackedReports",
+    "packed_report_dtype",
     "encode_report",
     "encode_reports",
     "encode_reports_into",
+    "encode_reports_packed",
     "encode_reports_trials_into",
     "encode_reports_grouped_into",
     "DEFAULT_CHUNK_SIZE",

@@ -19,6 +19,10 @@ is the fused encode→accumulate fast path: it perturbs and folds reports
 chunk by chunk directly into a ``(k, m)`` integer accumulator, never
 materialising the O(n) report arrays — tests pin it bit-for-bit against
 ``encode_reports`` + scatter-add under identical RNG draws.
+:func:`encode_reports_packed` runs the same draws but returns the reports
+as :class:`PackedReports` — one small unsigned code per report, the form
+the online service logs and replicates — so folding them later
+reproduces the :func:`encode_reports_into` accumulator bit for bit.
 
 Two *trial-axis* kernels extend the fused path for repeated-trial sweeps:
 
@@ -54,9 +58,12 @@ from .params import SketchParams
 
 __all__ = [
     "ReportBatch",
+    "PackedReports",
+    "packed_report_dtype",
     "encode_report",
     "encode_reports",
     "encode_reports_into",
+    "encode_reports_packed",
     "encode_reports_trials_into",
     "encode_reports_grouped_into",
     "DEFAULT_CHUNK_SIZE",
@@ -134,6 +141,63 @@ class ReportBatch:
             np.concatenate([self.cols, other.cols]),
             self.params,
         )
+
+
+def packed_report_dtype(k: int, m: int) -> np.dtype:
+    """The narrowest little-endian unsigned dtype of a packed report code.
+
+    Codes lie in ``[0, 2·k·m)`` (see :class:`PackedReports`), so
+    ``k = 18, m = 1024`` packs into ``uint16`` — two bytes per report.
+    """
+    top = 2 * int(k) * int(m) - 1
+    for name in ("<u1", "<u2", "<u4"):
+        if top <= np.iinfo(name).max:
+            return np.dtype(name)
+    return np.dtype("<u8")
+
+
+@dataclass(frozen=True)
+class PackedReports:
+    """A batch of Algorithm 1 reports, one unsigned code per report.
+
+    Report ``(y, j, l)`` is stored as ``2·(j·m + l) + [y > 0]``: the flat
+    sketch cell shifted left by one, with the sign in the low bit.  That
+    is ``1 + ⌈log₂(k·m)⌉`` bits of information in the narrowest
+    :func:`packed_report_dtype` — the same per-report content as a
+    :class:`ReportBatch`, but already in the layout the accumulator
+    scatters into, so a fold is one shift, one mask and one
+    ``bincount_accumulate``.
+
+    Construction checks the dtype (1-D, unsigned) and that every code
+    lies in ``[0, 2·k·m)`` — a code past the sketch is refused before
+    it can reach an accumulator.
+    """
+
+    codes: np.ndarray
+    params: SketchParams
+
+    def __post_init__(self) -> None:
+        codes = np.asarray(self.codes)
+        if codes.ndim != 1 or codes.dtype.kind != "u":
+            raise ParameterError(
+                f"packed report codes must be a 1-D unsigned integer array, "
+                f"got {codes.dtype} shaped {codes.shape}"
+            )
+        limit = 2 * self.params.k * self.params.m
+        if codes.size and int(codes.max()) >= limit:
+            raise ParameterError(
+                f"packed report code {int(codes.max())} lies outside "
+                f"[0, {limit}) for k={self.params.k}, m={self.params.m}"
+            )
+        object.__setattr__(self, "codes", codes)
+
+    def __len__(self) -> int:
+        return int(self.codes.size)
+
+    def cells_and_signs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cells, ys)``: int64 flat cells ``j·m + l`` and ``±1`` payloads."""
+        codes = self.codes.astype(np.int64)
+        return codes >> 1, 2 * (codes & 1) - 1
 
 
 def encode_report(
@@ -272,6 +336,62 @@ def encode_reports_into(
                 flips, params.m, out,
             )
     return int(n)
+
+
+def encode_reports_packed(
+    values: Iterable[int],
+    params: SketchParams,
+    pairs: HashPairs,
+    rng: RandomState = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    *,
+    backend=None,
+) -> PackedReports:
+    """Algorithm 1 over a batch of clients, returned as :class:`PackedReports`.
+
+    Per ``chunk_size`` chunk the generator draws rows, columns and flip
+    uniforms in exactly the :func:`encode_reports_into` order, so folding
+    the returned codes into a zero accumulator reproduces that call's
+    accumulator bit for bit (same generator, same ``chunk_size``).  The
+    hashing runs on the backend's fused front half
+    (:meth:`~repro.backend.base.Backend.fused_encode_shared_pass`); the
+    flip bits are applied here.  Out-of-domain values raise
+    :class:`~repro.errors.DomainError` before anything is drawn.
+    """
+    _check_pairs(params, pairs)
+    if not isinstance(chunk_size, (int, np.integer)) or chunk_size <= 0:
+        raise ParameterError(f"chunk_size must be a positive int, got {chunk_size!r}")
+    arr = as_value_array(values)
+    if arr.size and (arr.min() < 0 or arr.max() >= MERSENNE_PRIME_31):
+        raise DomainError("hash inputs must lie in [0, 2**31 - 1)")
+    generator = ensure_rng(rng)
+    codes = np.empty(arr.size, dtype=packed_report_dtype(params.k, params.m))
+    fused = _fused_kernel_inputs(pairs, backend, True)
+    with use_backend(backend):
+        for start in range(0, arr.size, int(chunk_size)):
+            chunk = arr[start : start + int(chunk_size)]
+            c = chunk.size
+            if fused is None:
+                ys, rows, cols = _encode_chunk(
+                    chunk, params, pairs, generator, domain_checked=True
+                )
+                cell = rows * np.int64(params.m) + cols
+                positive = ys > 0
+            else:
+                compute, bucket_coeffs, sign_coeffs = fused
+                rows = generator.integers(0, params.k, size=c)
+                cols = generator.integers(0, params.m, size=c)
+                flips = generator.random(c) < params.flip_probability
+                cell, base_signs = compute.fused_encode_shared_pass(
+                    bucket_coeffs, sign_coeffs, chunk.astype(np.uint64), rows,
+                    cols, params.m,
+                )
+                # y = base sign * (1 - 2 * flip): positive exactly when
+                # the unperturbed sign is +1 and the channel kept it, or
+                # it is -1 and the channel flipped it.
+                positive = (base_signs > 0) ^ flips
+            codes[start : start + c] = (cell << 1) | positive
+    return PackedReports(codes, params)
 
 
 def _fused_kernel_inputs(pairs: HashPairs, backend, contiguous: bool):

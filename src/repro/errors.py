@@ -92,6 +92,7 @@ __all__ = [
     "BackendUnavailableError",
     "PartialIntegrityError",
     "CheckpointCorruptError",
+    "WalFormatError",
     "InjectedFaultError",
     "InjectedCrashError",
     "RetryExhaustedError",
@@ -159,6 +160,25 @@ class CheckpointCorruptError(ReproError, ValueError):
 
     def __reduce__(self):  # crosses process-pool boundaries intact
         return (type(self), (self.path, self.reason))
+
+
+class WalFormatError(ParameterError):
+    """A write-ahead log on disk is in a format this build does not read.
+
+    ``path`` names the file and ``version`` the format found (1 for a
+    headerless file).  Raw-value logs (versions 1 and 2) are refused
+    rather than silently re-perturbed; the message names the one-shot
+    converter, :func:`repro.service.wal.convert_raw_value_wal`.
+    """
+
+    def __init__(self, path, version: int, reason: str) -> None:
+        self.path = path
+        self.version = int(version)
+        self.reason = str(reason)
+        super().__init__(f"WAL {path} (format version {self.version}): {reason}")
+
+    def __reduce__(self):
+        return (type(self), (self.path, self.version, self.reason))
 
 
 class InjectedFaultError(ReproError, RuntimeError):

@@ -5,9 +5,9 @@ The package turns the batch pieces — mergeable
 :class:`~repro.distributed.ShardCheckpoint`\\ s, the PR 7 fault/retry
 machinery — into a long-running, *replicated* HTTP collector:
 
-* :mod:`repro.service.wal` — crc32-framed append-only WAL with a
-  fencing-epoch header, the durability boundary every acknowledgement
-  sits behind.
+* :mod:`repro.service.wal` — crc32-framed append-only WAL of perturbed
+  (packed) reports with a fencing-epoch header, the durability boundary
+  every acknowledgement sits behind.
 * :mod:`repro.service.core` — the synchronous, deterministic engine:
   WAL-sequenced folds into per-shard sessions, checkpoint cadence,
   WAL-durable idempotency ledger (exactly-once ingest), canonical

@@ -14,9 +14,13 @@ The determinism chain, link by link:
 
 1.  A batch is acknowledged only after its record is in the WAL; the
     record's *sequence number* is its replay position.
-2.  The batch's client-simulation randomness is
-    ``batch_seed(service_seed, sequence)`` — a sha256 derivation, so a
-    replayed fold draws exactly the bits the dying process drew.
+2.  Randomness is drawn once, at ingest: before the append, the batch's
+    values go through Algorithm 1 with the generator
+    ``batch_seed(service_seed, sequence)`` (a sha256 derivation), and
+    the WAL stores the resulting perturbed reports, never the values.
+    Replay, standby apply and divergence repair fold those logged
+    reports by accumulation alone and draw no randomness, so every
+    replica of the log rebuilds the same integer sums.
 3.  The batch's shard is ``sequence % num_shards``; streams are
     namespaced ``tenant/stream`` on hash pairs shared by every shard, so
     shard accumulators are exact integer partial sums.
@@ -49,6 +53,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..api.session import JoinSession
+from ..core.client import PackedReports, encode_reports_packed
 from ..core.params import SketchParams
 from ..distributed.checkpoint import ShardCheckpoint
 from ..errors import (
@@ -58,8 +63,9 @@ from ..errors import (
 )
 from ..reliability.faults import fault_point
 from ..reliability.retry import RetryPolicy
+from ..rng import ensure_rng
 from ..temporal.session import TemporalSession
-from .wal import FSYNC_POLICIES, WalTear, WriteAheadLog
+from .wal import FSYNC_POLICIES, WalTear, WriteAheadLog, encode_frame
 
 __all__ = [
     "AggregationService",
@@ -81,9 +87,12 @@ def batch_seed(service_seed: int, sequence: int) -> int:
     """The client-simulation seed of WAL record ``sequence``.
 
     A pure sha256 derivation of ``(service_seed, sequence)`` — no state,
-    no wall clock — so replaying a WAL record after a crash draws
-    exactly the randomness the original fold drew.  This is the link
-    that turns "replay the WAL" into "byte-identical accumulators".
+    no wall clock.  It is used once per batch, at ingest: the batch's
+    raw values are perturbed (Algorithm 1) with this seed before the
+    record is appended, and the WAL keeps only the resulting reports.
+    Replay never calls it — the noise is already in the log — so a
+    service and ``JoinSession.collect(values, seed=batch_seed(seed,
+    sequence))`` hold the same accumulators.
     """
     material = f"repro-service:{int(service_seed)}:{int(sequence)}".encode("ascii")
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "little")
@@ -194,6 +203,7 @@ class AggregationService:
         # One coordinator owns the published hash pairs; every shard is
         # spawned from it so integer accumulators sum exactly.
         self._coordinator = JoinSession(config.params, seed=config.seed)
+        self._params = self._coordinator.params_for(0)
         self._shards: List[JoinSession] = [
             self._coordinator.spawn_shard() for _ in range(config.num_shards)
         ]
@@ -212,9 +222,10 @@ class AggregationService:
         # Entries ride inside WAL records ("idem" field), so the ledger is
         # WAL-durable for free — start() rebuilds it during replay.
         self._dedup: "OrderedDict[Tuple[str, str], dict]" = OrderedDict()
-        # Replayable record history, in sequence order; replication ships
-        # (and re-ships, on standby gaps) frames straight from this list.
-        self._records: List[dict] = []
+        # The WAL's frames, in sequence order: replication ships (and
+        # re-ships, on standby gaps) these exact bytes, and duplicate
+        # checks compare against them.
+        self._records: List[bytes] = []
         # Temporal ring (None when epoch_interval is 0).  Not checkpointed:
         # epochs are a pure function of WAL sequence numbers, so start()
         # rebuilds the identical ring by replaying every record through
@@ -240,7 +251,7 @@ class AggregationService:
         Safe on a cold directory (starts empty) and after any crash:
         torn WAL tails are truncated, corrupt shard checkpoints downgrade
         to cold starts, and every intact WAL record at or past a shard's
-        checkpoint cursor is re-folded with its original derived seed.
+        checkpoint cursor is re-folded from its logged reports.
         """
         records, tear = self.wal.recover()
         if tear is not None:
@@ -285,7 +296,7 @@ class AggregationService:
         replayed = 0
         for sequence, record in enumerate(records):
             self._count_tenant(record)
-            self._records.append(dict(record))
+            self._records.append(record.frame)
             self._remember_ack(record, sequence)
             shard_index = sequence % self.config.num_shards
             if sequence < cursors[shard_index]:
@@ -341,12 +352,16 @@ class AggregationService:
     ) -> dict:
         """Durably ingest one report batch; returns the acknowledgement.
 
-        The batch is validated, appended to the WAL (the acknowledgement
-        boundary — once :meth:`~repro.service.wal.WriteAheadLog.append`
-        returns, a crash cannot lose it), then folded into its shard
-        under the retry policy.  The fold's ``service.ingest`` fault
-        point fires *before* any mutation, so an absorbed fault re-runs
-        the fold cleanly.
+        The batch is validated and perturbed (Algorithm 1, seeded by
+        :func:`batch_seed` of the sequence it is about to take), its
+        reports are appended to the WAL (the acknowledgement boundary —
+        once :meth:`~repro.service.wal.WriteAheadLog.append` returns, a
+        crash cannot lose it), then folded into its shard under the
+        retry policy.  A batch that cannot be encoded (out-of-domain or
+        non-integer values, oversize) is refused before the WAL sees it,
+        so it can never poison a restart.  The fold's ``service.ingest``
+        fault point fires *before* any mutation, so an absorbed fault
+        re-runs the fold cleanly.
 
         ``idempotency_key`` makes retries exactly-once: the key travels
         inside the WAL record, so the dedup ledger survives crashes with
@@ -373,13 +388,14 @@ class AggregationService:
                 ack = dict(original)
                 ack["deduplicated"] = True
                 return ack
-        record = self._validate_batch(tenant, stream, values, attribute)
+        record = self._encode_batch(tenant, stream, values, attribute, len(self.wal))
         if idempotency_key is not None:
             record["idem"] = idempotency_key
-        sequence = self.wal.append(record)
+        frame = encode_frame(record)
+        sequence = self.wal.append(frame)
         self._folded = sequence + 1
         self._count_tenant(record)
-        self._records.append(record)
+        self._records.append(frame)
         ack = self._remember_ack(record, sequence)
         self._retry.call(
             lambda: self._fold(record, sequence),
@@ -390,19 +406,22 @@ class AggregationService:
             self.flush()
         return dict(ack)
 
-    def _validate_batch(
-        self, tenant: str, stream: str, values: Sequence[int], attribute: int
+    def _encode_batch(
+        self,
+        tenant: str,
+        stream: str,
+        values: Sequence[int],
+        attribute: int,
+        sequence: int,
     ) -> dict:
-        if not tenant or not isinstance(tenant, str):
-            raise ParameterError(f"tenant must be a non-empty string, got {tenant!r}")
-        if "/" in tenant:
-            raise ParameterError(
-                f"tenant must not contain '/' (reserved for stream "
-                f"namespacing), got {tenant!r}"
-            )
-        if not stream or not isinstance(stream, str):
-            raise ParameterError(f"stream must be a non-empty string, got {stream!r}")
-        self._coordinator.params_for(int(attribute))  # bounds check
+        """Validate one batch and perturb it as WAL record ``sequence``.
+
+        Returns the record to log: the names plus the batch's packed
+        Algorithm 1 reports, drawn from ``batch_seed(seed, sequence)``
+        in the draw order of
+        :func:`~repro.core.client.encode_reports_into`.
+        """
+        self._check_names(tenant, stream, attribute)
         try:
             array = np.asarray(values, dtype=np.int64)
         except (TypeError, ValueError, OverflowError) as error:
@@ -417,15 +436,43 @@ class AggregationService:
                 f"batch holds {array.size} reports, over the "
                 f"{self.config.max_batch_reports}-report admission cap; split it"
             )
+        reports = encode_reports_packed(
+            array,
+            self._params,
+            self._coordinator.pairs[int(attribute)],
+            ensure_rng(batch_seed(self.config.seed, sequence)),
+            backend=self._coordinator.backend,
+        )
         return {
             "tenant": tenant,
             "stream": stream,
             "attribute": int(attribute),
-            "values": array.tolist(),
+            "reports": reports.codes,
         }
 
+    def _check_names(self, tenant: Any, stream: Any, attribute: Any) -> None:
+        """Refuse a record whose tenant, stream or attribute is unusable."""
+        if not tenant or not isinstance(tenant, str):
+            raise ParameterError(f"tenant must be a non-empty string, got {tenant!r}")
+        if "/" in tenant:
+            raise ParameterError(
+                f"tenant must not contain '/' (reserved for stream "
+                f"namespacing), got {tenant!r}"
+            )
+        if not stream or not isinstance(stream, str):
+            raise ParameterError(f"stream must be a non-empty string, got {stream!r}")
+        if isinstance(attribute, bool) or not isinstance(attribute, (int, np.integer)):
+            raise ParameterError(f"attribute must be an integer, got {attribute!r}")
+        self._coordinator.params_for(int(attribute))  # bounds check
+
+    def _reports(self, record: Mapping[str, Any]) -> PackedReports:
+        """A record's logged reports, range-checked against the sketch."""
+        if "reports" not in record:
+            raise ParameterError("WAL record carries no packed reports")
+        return PackedReports(record["reports"], self._params)
+
     def _fold(self, record: Mapping[str, Any], sequence: int) -> None:
-        """Fold one WAL record into its shard (pure given the record)."""
+        """Fold one WAL record into its shard (accumulation only)."""
         shard_index = sequence % self.config.num_shards
         fault_point(
             "service.ingest",
@@ -436,28 +483,26 @@ class AggregationService:
         self._fold_temporal(record, sequence)
         self._shards[shard_index].collect(
             f"{record['tenant']}/{record['stream']}",
-            np.asarray(record["values"], dtype=np.int64),
+            self._reports(record),
             attribute=int(record["attribute"]),
-            seed=batch_seed(self.config.seed, sequence),
         )
 
     def _fold_temporal(self, record: Mapping[str, Any], sequence: int) -> None:
         """Roll the epoch ring to ``sequence``'s epoch and fold the batch.
 
         The epoch is ``sequence // epoch_interval`` — a pure function of
-        the WAL position — and the batch re-uses the fold's derived
-        seed, so the epoch accumulators are the same integer sums the
-        shard path produces for those records.  Replay and replication
-        therefore rebuild a byte-identical ring.
+        the WAL position — and the batch's logged reports are the ones
+        the shard path folds, so the epoch accumulators are the same
+        integer sums.  Replay and replication therefore rebuild a
+        byte-identical ring.
         """
         if self._temporal is None:
             return
         self._temporal.roll_to(sequence // self.config.epoch_interval)
         self._temporal.collect(
             f"{record['tenant']}/{record['stream']}",
-            np.asarray(record["values"], dtype=np.int64),
+            self._reports(record),
             attribute=int(record["attribute"]),
-            seed=batch_seed(self.config.seed, sequence),
         )
 
     def _count_tenant(self, record: Mapping[str, Any]) -> None:
@@ -465,7 +510,7 @@ class AggregationService:
             str(record["tenant"]), {"batches": 0, "reports": 0}
         )
         stats["batches"] += 1
-        stats["reports"] += len(record["values"])
+        stats["reports"] += len(record["reports"])
 
     def _remember_ack(self, record: Mapping[str, Any], sequence: int) -> dict:
         """Compute record ``sequence``'s ack; ledger it if idempotent.
@@ -479,7 +524,7 @@ class AggregationService:
         ack = {
             "sequence": int(sequence),
             "shard": int(sequence) % self.config.num_shards,
-            "reports": len(record["values"]),
+            "reports": len(record["reports"]),
         }
         key = record.get("idem")
         if key is not None:

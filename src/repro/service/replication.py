@@ -4,9 +4,11 @@
 :class:`~repro.service.core.AggregationService` with a replication layer
 whose whole design leans on one fact: the engine is a *pure function of
 the WAL*.  The primary therefore ships nothing cleverer than its own WAL
-frames — the exact crc32-framed bytes :func:`repro.service.wal.encode_frame`
-produced — and a standby applies each record through the very same
-``append → fold → checkpoint`` path ingest uses.  Two nodes that agree
+frames — the exact crc32-framed bytes it appended, perturbed reports
+only, held verbatim in memory — and a standby verifies each one, appends
+those same bytes and folds the reports through the very same
+``append → fold → checkpoint`` path ingest uses.  No randomness is drawn
+on a standby: the noise travels inside the frame.  Two nodes that agree
 on the record sequence are byte-identical: same WAL, same accumulators,
 same published snapshot digest.  That is the headline chaos property,
 and it is why failover needs no state transfer — the survivor already
@@ -20,6 +22,7 @@ Protocol, frame by frame::
       fold into shard
       ship {epoch, seq, frame} ───────▶ apply_replication(payload)
                                           epoch checks (fencing)
+                                          decode (crc, body) + range check
                                           seq == wal length? append+fold
                                           seq <  length, bytes match?
                                                               duplicate ack
@@ -91,7 +94,7 @@ from ..errors import (
 )
 from ..reliability.faults import fault_point
 from .core import AggregationService, ServiceConfig
-from .wal import decode_frame, encode_frame
+from .wal import decode_frame
 
 __all__ = [
     "ReplicatedService",
@@ -333,11 +336,10 @@ class ReplicatedService(AggregationService):
     # Primary side: shipping
     # ------------------------------------------------------------------
     def _frame_payload(self, sequence: int) -> dict:
-        frame = encode_frame(self._records[sequence])
         return {
             "epoch": int(self.wal.epoch),
             "sequence": int(sequence),
-            "frame": base64.b64encode(frame).decode("ascii"),
+            "frame": base64.b64encode(self._records[sequence]).decode("ascii"),
         }
 
     def _after_append(self, record: Mapping[str, Any], sequence: int) -> None:
@@ -442,8 +444,10 @@ class ReplicatedService(AggregationService):
         out of order), then frame integrity (crc inside the frame — a
         torn shipment is rejected *before* any state changes), then
         sequencing.  The apply path is byte-for-byte the ingest path:
-        ``wal.append`` of the identical frame, the same derived fold
-        seed, the same checkpoint cadence — which is the whole theorem.
+        ``wal.append`` of the identical frame, a fold of the identical
+        reports, the same checkpoint cadence — which is the whole
+        theorem.  A frame whose names or report codes could not fold is
+        refused before the append, like a torn one.
         """
         self._require_started()
         try:
@@ -462,6 +466,10 @@ class ReplicatedService(AggregationService):
         if spec is not None and spec.kind in ("torn-write", "corrupt"):
             frame = base64.b64decode(self._damage(payload["frame"], spec.kind))
         record = decode_frame(frame)  # crc-validated; ParameterError on damage
+        self._check_names(
+            record.get("tenant"), record.get("stream"), record.get("attribute")
+        )
+        self._reports(record)  # codes inside the sketch, or ParameterError
         if epoch > self.wal.epoch:
             # A newer primary speaks: adopt its epoch (fsynced into the
             # WAL header) and, if we thought we led, stand down.
@@ -480,7 +488,7 @@ class ReplicatedService(AggregationService):
             )
         expected = self._folded
         if sequence < expected:
-            if encode_frame(self._records[sequence]) == frame:
+            if self._records[sequence] == frame:
                 return {
                     "applied": False,
                     "duplicate": True,
@@ -503,10 +511,10 @@ class ReplicatedService(AggregationService):
             expected = self._folded
         if sequence > expected:
             raise ReplicaGapError(expected, sequence)
-        applied = self.wal.append(record)
+        applied = self.wal.append(record.frame)
         self._folded = applied + 1
         self._count_tenant(record)
-        self._records.append(dict(record))
+        self._records.append(record.frame)
         self._remember_ack(record, applied)
         self._retry.call(
             lambda: self._fold(record, applied),
@@ -526,14 +534,14 @@ class ReplicatedService(AggregationService):
 
         The WAL is truncated first (fsynced) so a crash mid-rebuild
         recovers the same shortened history; shard accumulators, tenant
-        counters, the dedup ledger and the record list are then rebuilt
-        from the kept prefix — a fold is a pure function of ``(record,
-        sequence)``, so the rebuilt state is byte-identical to a node
+        counters, the dedup ledger and the frame list are then rebuilt
+        from the kept frames — a fold accumulates the logged reports and
+        draws nothing, so the rebuilt state is byte-identical to a node
         that never held the fork.  Checkpoints are reflushed at the end
         so no on-disk cursor outlives the truncation, and a published
         snapshot that included dropped records is withdrawn.
         """
-        keep = [dict(record) for record in self._records[:sequence]]
+        keep = self._records[:sequence]
         self.wal.truncate_to(sequence)
         self._shards = [
             self._coordinator.spawn_shard()
@@ -544,9 +552,10 @@ class ReplicatedService(AggregationService):
         self._dedup.clear()
         self._records = []
         self._folded = 0
-        for position, record in enumerate(keep):
+        for position, frame in enumerate(keep):
+            record = decode_frame(frame)
             self._count_tenant(record)
-            self._records.append(record)
+            self._records.append(frame)
             self._remember_ack(record, position)
             self._retry.call(
                 lambda record=record, position=position: self._fold(

@@ -49,6 +49,8 @@ the sender needs to react (current epoch, expected sequence, actual
 role), so a zombie primary can fence itself and a client can re-target
 without string-matching error messages.  A quorum shortfall is 503 —
 the batch is durable, only under-replicated — with ``Retry-After``.
+A report batch with a value outside the hash domain ``[0, 2**31 - 1)``
+is a 400 with ``error_kind`` ``domain``, refused before the WAL append.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import (
+    DomainError,
     FencedEpochError,
     InjectedFaultError,
     NotPrimaryError,
@@ -538,6 +541,8 @@ class ServiceServer:
             }, {"Retry-After": "1"}
         except ParameterError as error:
             return 400, {"error": str(error)}, None
+        except DomainError as error:
+            return 400, {"error": str(error), "error_kind": "domain"}, None
         except ProtocolError as error:
             return 409, {"error": str(error)}, None
         except RetryExhaustedError as error:

@@ -2,37 +2,66 @@
 
 Every report batch the service *acknowledges* is first appended here —
 one crc32-framed record per batch — so a ``kill -9`` at any instant
-loses at most work the client was never told succeeded.  On restart the
-log replays in order; per-batch randomness is derived from the record's
-*sequence number* (see :func:`repro.service.core.batch_seed`), so the
-replayed fold is byte-identical to the fold the dying process performed.
+loses at most work the client was never told succeeded.  A record holds
+the batch's *perturbed* Algorithm 1 reports, never its raw values: the
+service encodes each batch once, at ingest and before the append (see
+:func:`repro.service.core.batch_seed`), so replay, standby apply and
+divergence repair fold the logged noise by accumulation alone and draw
+no randomness.
 
-File format (little-endian)::
+File format (version 3, little-endian)::
 
     +------+---------+------------+
-    | RWHD | ver:u32 | epoch: u64 |   fixed 16-byte header
+    | RWHD | ver:u32 | epoch: u64 |   fixed 16-byte header, ver = 3
     +------+---------+------------+
     +----+----------+----------+------------------+
     | RW | len: u32 | crc: u32 | payload (len B)  |   one frame per record
     +----+----------+----------+------------------+
+
+Frame payload::
+
+    +------------+-----------------------+---------------------------+
+    | hlen: u32  | header (hlen B, JSON) | body (len - 4 - hlen B)   |
+    +------------+-----------------------+---------------------------+
+
+``header`` is the canonical JSON (sorted keys, fixed separators) of the
+record's scalar fields.  For a service batch those are ``tenant``,
+``stream``, ``attribute``, ``count`` (reports in the body) and, for an
+idempotent submission, ``idem``.  ``body`` holds the ``count`` packed
+report codes back to back: ``2·(j·m + l) + [y > 0]`` per report, in the
+narrowest unsigned dtype holding ``2·k·m``
+(:class:`~repro.core.client.PackedReports`; ``uint16``, two bytes per
+report, at ``k = 18, m = 1024``).  The item size is the body length over
+``count``; readers map the body with ``np.frombuffer``, so decoding
+creates no Python object per report.  A record without reports has no
+``count`` and an empty body.  ``crc`` is the crc32 of the whole payload,
+so a flipped byte in header or body alike fails it.
 
 The header carries the **fencing epoch** of the replication layer
 (:mod:`repro.service.replication`): a monotonic counter bumped by every
 standby promotion and rewritten in place (16 bytes at offset 0, fsynced)
 by :meth:`WriteAheadLog.set_epoch`.  A node that recovers its WAL knows
 which epoch it last served in, so a zombie primary cannot forget it was
-fenced.  Headerless (v1) files are migrated to the headered format at
-epoch 0 on the first :meth:`WriteAheadLog.recover`.
+fenced.
 
-``payload`` is the canonical JSON of the record (sorted keys, fixed
-separators); ``crc`` is the crc32 of the payload bytes.  A crash mid
-``write`` leaves a *torn tail*: a final frame whose magic, length, crc
-or byte count does not check out.  :meth:`WriteAheadLog.recover` reads
-every intact frame, stops cleanly at the first damaged one, and (by
-default) truncates the file back to the last intact frame boundary so
-subsequent appends continue from a clean edge.  Torn bytes are counted
-and reported — a tear can only hold a record that was never
-acknowledged, so dropping it is correct, but it must never be silent.
+**Raw-value logs are refused.**  Format versions 1 (headerless) and 2
+logged each batch's raw values as a JSON list and re-perturbed them on
+every replay.  :meth:`WriteAheadLog.recover` raises
+:class:`~repro.errors.WalFormatError` on such a file rather than reading
+its JSON payloads as binary frames (which would drop the whole log as a
+"torn tail").  :func:`convert_raw_value_wal` rewrites one in place, once,
+encoding record ``s`` with ``batch_seed(seed, s)`` — exactly the
+randomness the old service drew when it folded that record — so the
+converted log republishes the old service's snapshot bytes.
+
+A crash mid ``write`` leaves a *torn tail*: a final frame whose magic,
+length, crc or byte count does not check out.
+:meth:`WriteAheadLog.recover` reads every intact frame, stops cleanly at
+the first damaged one, and (by default) truncates the file back to the
+last intact frame boundary so subsequent appends continue from a clean
+edge.  Torn bytes are counted and reported — a tear can only hold a
+record that was never acknowledged, so dropping it is correct, but it
+must never be silent.
 
 Durability knob (``fsync=``):
 
@@ -60,21 +89,26 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Iterator, List, Mapping, Optional, Tuple, Union
 
-from ..errors import InjectedCrashError, ParameterError
+import numpy as np
+
+from ..errors import InjectedCrashError, ParameterError, WalFormatError
 from ..reliability.faults import fault_point
 
 __all__ = [
     "WriteAheadLog",
+    "WalRecord",
     "WalTear",
     "FSYNC_POLICIES",
     "encode_frame",
     "decode_frame",
+    "convert_raw_value_wal",
 ]
 
 #: Two magic bytes opening every frame.
@@ -83,10 +117,28 @@ _MAGIC = b"RW"
 #: Frame header layout after the magic: payload length, payload crc32.
 _HEADER = struct.Struct("<II")
 
+#: Bytes before a frame's payload: magic plus header.
+_FRAME_OVERHEAD = len(_MAGIC) + _HEADER.size
+
+#: Payload prefix: byte length of the JSON header that follows it.
+_HEADER_LENGTH = struct.Struct("<I")
+
 #: File header: magic, format version, fencing epoch.
 _FILE_MAGIC = b"RWHD"
 _FILE_HEADER = struct.Struct("<4sIQ")
-_WAL_VERSION = 2
+_WAL_VERSION = 3
+
+#: Format versions whose frames carry raw values as JSON (refused).
+_RAW_VALUE_VERSIONS = (1, 2)
+_RAW_VALUE_REFUSAL = (
+    "a raw-value log from an older build; this build logs only perturbed "
+    "reports (format version 3) and will not re-perturb raw values on "
+    "replay — convert it once with "
+    "repro.service.wal.convert_raw_value_wal(config)"
+)
+
+#: Byte widths a packed report body may use.
+_ITEM_SIZES = (1, 2, 4, 8)
 
 #: Supported fsync policies, strictest first.
 FSYNC_POLICIES = ("always", "batch", "never")
@@ -96,57 +148,279 @@ FSYNC_POLICIES = ("always", "batch", "never")
 _MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
+class WalRecord(dict):
+    """One decoded record: its fields, plus the frame it was read from.
+
+    A plain mapping of the header fields, with ``reports`` (when the
+    record carries any) a read-only view of the packed body inside
+    :attr:`frame` — the exact crc32-framed bytes on disk, which the
+    service keeps for replication and compares in duplicate checks.
+    """
+
+    __slots__ = ("frame",)
+
+
+def _canonical_json(obj: Any) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def encode_frame(record: Mapping[str, Any]) -> bytes:
     """The crc32-framed bytes of one record, exactly as appended.
 
-    Framing is a pure function of the record (canonical JSON), so a
-    frame built on the primary and a frame appended by a standby that
-    applied the shipped record are byte-identical — which is what lets
-    the replication layer ship *frames* and still keep both WALs (and
-    hence both snapshot digests) in lockstep.
+    ``reports`` (optional) must be a 1-D unsigned integer array; it
+    becomes the binary body and sets the header's ``count``.  Every
+    other field goes into the canonical-JSON header.  Framing is a pure
+    function of the record, but frames are built once — at ingest — and
+    from then on stored, shipped and compared as bytes.
     """
-    payload = json.dumps(dict(record), sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
+    header = {key: value for key, value in record.items() if key != "reports"}
+    if "count" in header:
+        raise ParameterError(
+            "record field 'count' is reserved: the frame codec sets it from "
+            "'reports'"
+        )
+    body = b""
+    reports = record.get("reports")
+    if reports is not None:
+        reports = np.asarray(reports)
+        if reports.ndim != 1 or reports.dtype.kind != "u":
+            raise ParameterError(
+                f"record reports must be a 1-D unsigned integer array, got "
+                f"{reports.dtype} shaped {reports.shape}"
+            )
+        header["count"] = int(reports.size)
+        body = reports.astype(reports.dtype.newbyteorder("<"), copy=False).tobytes()
+    head = _canonical_json(header)
+    payload = b"".join((_HEADER_LENGTH.pack(len(head)), head, body))
+    return b"".join(
+        (_MAGIC, _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF), payload)
     )
-    return _MAGIC + _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
 
 
-def decode_frame(frame: bytes) -> dict:
+def _decode_payload(frame: bytes) -> WalRecord:
+    """Parse a crc-verified v3 frame; ``ValueError`` names the damage."""
+    payload = memoryview(frame)[_FRAME_OVERHEAD:]
+    if len(payload) < _HEADER_LENGTH.size:
+        raise ValueError("payload shorter than its header-length prefix")
+    (head_length,) = _HEADER_LENGTH.unpack_from(payload)
+    body_start = _HEADER_LENGTH.size + head_length
+    if body_start > len(payload):
+        raise ValueError(
+            f"header length {head_length} overruns the {len(payload)}-byte payload"
+        )
+    try:
+        header = json.loads(str(payload[_HEADER_LENGTH.size : body_start], "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(f"header is not valid JSON ({error})") from error
+    if not isinstance(header, dict):
+        raise ValueError(f"header must be a JSON object, got {type(header).__name__}")
+    record = WalRecord(header)
+    record.frame = frame
+    body_length = len(payload) - body_start
+    count = record.pop("count", None)
+    if count is None:
+        if body_length:
+            raise ValueError(f"{body_length}-byte body without a report count")
+        return record
+    if type(count) is not int or count < 0:
+        raise ValueError(f"report count must be a non-negative integer, got {count!r}")
+    itemsize = body_length // count if count else 1
+    if itemsize not in _ITEM_SIZES or itemsize * count != body_length:
+        raise ValueError(
+            f"{body_length}-byte body does not hold {count} packed reports"
+        )
+    record["reports"] = np.frombuffer(
+        frame, dtype=f"<u{itemsize}", count=count, offset=_FRAME_OVERHEAD + body_start
+    )
+    return record
+
+
+def _decode_raw_value_payload(frame: bytes) -> dict:
+    """Parse a crc-verified v1/v2 frame: its payload is one JSON record."""
+    try:
+        record = json.loads(frame[_FRAME_OVERHEAD:])
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(f"payload not valid JSON ({error})") from error
+    if not isinstance(record, dict):
+        raise ValueError(f"payload must be a JSON object, got {type(record).__name__}")
+    return record
+
+
+def decode_frame(frame: bytes) -> WalRecord:
     """Parse and integrity-check one shipped frame; returns its record.
 
     Raises :class:`~repro.errors.ParameterError` naming the damage for
-    any frame that does not verify — truncated, bad magic, crc mismatch,
-    trailing bytes — so a replication stream corrupted in flight is
+    any frame that does not verify — truncated, bad magic, crc mismatch
+    (header or body), trailing bytes, a body that does not hold its
+    report count — so a replication stream corrupted in flight is
     rejected *before* it can touch a standby's WAL.
     """
-    if len(frame) < len(_MAGIC) + _HEADER.size:
+    frame = bytes(frame)
+    if len(frame) < _FRAME_OVERHEAD:
         raise ParameterError(
             f"replication frame truncated at {len(frame)} bytes (header needs "
-            f"{len(_MAGIC) + _HEADER.size})"
+            f"{_FRAME_OVERHEAD})"
         )
     if frame[:2] != _MAGIC:
         raise ParameterError("replication frame has bad magic")
     length, crc = _HEADER.unpack_from(frame, 2)
-    body = frame[2 + _HEADER.size :]
-    if len(body) != length:
+    if len(frame) - _FRAME_OVERHEAD != length:
         raise ParameterError(
-            f"replication frame length mismatch ({len(body)} bytes of payload, "
-            f"header claims {length})"
+            f"replication frame length mismatch ({len(frame) - _FRAME_OVERHEAD} "
+            f"bytes of payload, header claims {length})"
         )
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+    if zlib.crc32(memoryview(frame)[_FRAME_OVERHEAD:]) & 0xFFFFFFFF != crc:
         raise ParameterError("replication frame payload crc32 mismatch")
     try:
-        record = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ParameterError(
-            f"replication frame payload is not valid JSON ({error})"
-        ) from error
-    if not isinstance(record, dict):
-        raise ParameterError(
-            f"replication frame payload must be a JSON object, got "
-            f"{type(record).__name__}"
+        return _decode_payload(frame)
+    except ValueError as error:
+        raise ParameterError(f"replication frame payload undecodable: {error}") from error
+
+
+def _scan(
+    data: bytes, *, base: int = 0, decode: Callable[[bytes], dict] = _decode_payload
+) -> Tuple[List[dict], int, Optional["WalTear"]]:
+    """Parse frame ``data`` into records; stop at the first damaged frame.
+
+    ``base`` is the file offset where ``data`` starts (the header size),
+    so tear offsets name absolute positions an operator can seek to.
+    The returned good offset is absolute too.  ``decode`` turns one
+    crc-verified frame into its record (raw-value JSON for the
+    converter, the v3 header-plus-body layout otherwise).
+    """
+    records: List[dict] = []
+    offset = 0
+    total = len(data)
+    while offset < total:
+        head = offset
+
+        def tear(reason: str):
+            return records, base + head, WalTear(base + head, total - head, reason)
+
+        if total - offset < _FRAME_OVERHEAD:
+            return tear("truncated frame header")
+        if data[offset : offset + 2] != _MAGIC:
+            return tear("bad frame magic")
+        length, crc = _HEADER.unpack_from(data, offset + 2)
+        if length > _MAX_FRAME_BYTES:
+            return tear(f"implausible frame length {length}")
+        end = offset + _FRAME_OVERHEAD + length
+        if end > total:
+            return tear(
+                f"truncated payload ({total - offset - _FRAME_OVERHEAD} of "
+                f"{length} bytes)"
+            )
+        frame = data[head:end]
+        if zlib.crc32(memoryview(frame)[_FRAME_OVERHEAD:]) & 0xFFFFFFFF != crc:
+            return tear("payload crc32 mismatch")
+        try:
+            records.append(decode(frame))
+        except ValueError as error:
+            return tear(f"undecodable payload ({error})")
+        offset = end
+    return records, base + offset, None
+
+
+def _parse_file_header(
+    path: Path, data: bytes
+) -> Tuple[int, int, Optional["WalTear"]]:
+    """``(epoch, frames_offset, header_tear)`` of a log's bytes.
+
+    Raises :class:`~repro.errors.WalFormatError` for raw-value (v1/v2)
+    and unknown format versions.
+    """
+    if not data:
+        return 0, 0, None
+    if len(data) < _FILE_HEADER.size and _FILE_MAGIC.startswith(data[:4]):
+        # Torn file header: the crash hit the 16-byte create write
+        # itself, so no frame can follow it and no epoch was ever
+        # durable — reinitialise at epoch 0, but report the tear like
+        # any other damaged tail.
+        return 0, len(data), WalTear(
+            0,
+            len(data),
+            f"truncated file header ({len(data)} of {_FILE_HEADER.size} bytes)",
         )
-    return record
+    if data[:4] != _FILE_MAGIC:
+        raise WalFormatError(path, 1, _RAW_VALUE_REFUSAL)
+    _, version, epoch = _FILE_HEADER.unpack_from(data, 0)
+    if version in _RAW_VALUE_VERSIONS:
+        raise WalFormatError(path, version, _RAW_VALUE_REFUSAL)
+    if version != _WAL_VERSION:
+        raise WalFormatError(
+            path, version, f"unsupported; this build reads version {_WAL_VERSION}"
+        )
+    return int(epoch), _FILE_HEADER.size, None
+
+
+def _fsync_dir(path: Path) -> None:
+    """Fsync ``path``'s directory so a create/replace survives power loss."""
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def convert_raw_value_wal(config) -> dict:
+    """Rewrite a raw-value (v1/v2) WAL as a version-3 log, once, in place.
+
+    ``config`` is the :class:`~repro.service.core.ServiceConfig` the old
+    service ran with; the log is ``config.data_dir / "wal.log"``.  Record
+    ``s`` is encoded the way the old service folded it — its values
+    through Algorithm 1 with ``batch_seed(config.seed, s)`` — so the
+    converted log republishes the old service's snapshot bytes, and the
+    shard checkpoints beside it stay valid.  The fencing epoch and
+    idempotency keys carry over; a torn tail is dropped, as recovery
+    would have dropped it.  The original file is kept as
+    ``wal.log.v<version>``, and the new log is fsynced and swapped in
+    atomically.
+
+    Returns ``{"from_version", "records", "epoch", "torn_tail",
+    "backup"}``.  Raises :class:`~repro.errors.WalFormatError` when the
+    log is not a raw-value log, and the ingest validation errors (e.g.
+    :class:`~repro.errors.DomainError`) for a record no service could
+    ever have folded.
+    """
+    from .core import AggregationService  # core imports this module
+
+    path = Path(config.data_dir) / "wal.log"
+    data = path.read_bytes()
+    version, epoch, offset = 1, 0, 0
+    if data[:4] == _FILE_MAGIC and len(data) >= _FILE_HEADER.size:
+        _, version, epoch = _FILE_HEADER.unpack_from(data, 0)
+        offset = _FILE_HEADER.size
+    if not data or version not in _RAW_VALUE_VERSIONS:
+        raise WalFormatError(path, version, "not a raw-value log; nothing to convert")
+    records, _, tear = _scan(
+        data[offset:], base=offset, decode=_decode_raw_value_payload
+    )
+    encoder = AggregationService(config)
+    frames = []
+    for sequence, old in enumerate(records):
+        record = encoder._encode_batch(
+            old["tenant"], old["stream"], old["values"], old.get("attribute", 0), sequence
+        )
+        if "idem" in old:
+            record["idem"] = old["idem"]
+        frames.append(encode_frame(record))
+    backup = path.with_name(f"{path.name}.v{version}")
+    shutil.copyfile(path, backup)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(_FILE_HEADER.pack(_FILE_MAGIC, _WAL_VERSION, epoch))
+        fh.writelines(frames)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(path)
+    return {
+        "from_version": int(version),
+        "records": len(frames),
+        "epoch": int(epoch),
+        "torn_tail": None if tear is None else tear.to_dict(),
+        "backup": str(backup),
+    }
 
 
 @dataclass(frozen=True)
@@ -188,57 +462,9 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _scan(
-        self, data: bytes, *, base: int = 0
-    ) -> Tuple[List[dict], int, Optional[WalTear]]:
-        """Parse frame ``data`` into records; stop at the first damaged frame.
-
-        ``base`` is the file offset where ``data`` starts (the header
-        size for a v2 file), so tear offsets name absolute positions an
-        operator can seek to.  The returned good offset is absolute too.
-        """
-        records: List[dict] = []
-        offset = 0
-        total = len(data)
-        while offset < total:
-            head = offset
-            if total - offset < len(_MAGIC) + _HEADER.size:
-                return records, base + head, WalTear(
-                    base + head, total - head, "truncated frame header"
-                )
-            if data[offset : offset + 2] != _MAGIC:
-                return records, base + head, WalTear(
-                    base + head, total - head, "bad frame magic"
-                )
-            offset += 2
-            length, crc = _HEADER.unpack_from(data, offset)
-            offset += _HEADER.size
-            if length > _MAX_FRAME_BYTES:
-                return records, base + head, WalTear(
-                    base + head, total - head, f"implausible frame length {length}"
-                )
-            if total - offset < length:
-                return records, base + head, WalTear(
-                    base + head,
-                    total - head,
-                    f"truncated payload ({total - offset} of {length} bytes)",
-                )
-            payload = data[offset : offset + length]
-            offset += length
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                return records, base + head, WalTear(
-                    base + head, total - head, "payload crc32 mismatch"
-                )
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                return records, base + head, WalTear(
-                    base + head, total - head, f"payload not valid JSON ({error})"
-                )
-            records.append(record)
-        return records, base + offset, None
-
-    def recover(self, *, truncate: bool = True) -> Tuple[List[dict], Optional[WalTear]]:
+    def recover(
+        self, *, truncate: bool = True
+    ) -> Tuple[List[WalRecord], Optional[WalTear]]:
         """Replay every intact record; optionally trim a damaged tail.
 
         Returns ``(records, tear)`` where ``tear`` is ``None`` for a
@@ -246,7 +472,9 @@ class WriteAheadLog:
         back to the last intact frame so :meth:`append` continues from a
         clean boundary; a tear holds at most never-acknowledged data, so
         trimming is safe.  Also (re)initialises the sequence counter —
-        call this once before the first append.
+        call this once before the first append.  A raw-value (v1/v2) log
+        raises :class:`~repro.errors.WalFormatError` naming
+        :func:`convert_raw_value_wal`; the file is left untouched.
         """
         self.close()
         if self.path.exists():
@@ -254,56 +482,18 @@ class WriteAheadLog:
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             data = b""
-        epoch = 0
-        legacy = False
-        header_tear: Optional[WalTear] = None
-        if data[:4] == _FILE_MAGIC and len(data) < _FILE_HEADER.size:
-            # Torn file header: the crash hit the 16-byte create/migrate
-            # write itself, so no frame can follow it and no epoch was
-            # ever durable — reinitialise at epoch 0, but report the
-            # tear like any other damaged tail.
-            header_tear = WalTear(
-                0,
-                len(data),
-                f"truncated file header ({len(data)} of "
-                f"{_FILE_HEADER.size} bytes)",
-            )
-            frames, base = b"", len(data)
-        elif data[:4] == _FILE_MAGIC:
-            magic, version, epoch = _FILE_HEADER.unpack_from(data, 0)
-            if version != _WAL_VERSION:
-                raise ParameterError(
-                    f"WAL {self.path} has unsupported format version {version}"
-                )
-            frames, base = data[_FILE_HEADER.size :], _FILE_HEADER.size
-        else:
-            # Either a brand-new/empty log or a headerless v1 file from
-            # before fencing epochs existed; both migrate to v2 below.
-            frames, base = data, 0
-            legacy = len(data) > 0
-        records, good_offset, tear = self._scan(frames, base=base)
+        epoch, base, header_tear = _parse_file_header(self.path, data)
+        records, good_offset, tear = _scan(data[base:], base=base)
         if header_tear is not None:
             tear = header_tear
-        self._epoch = int(epoch)
-        header = _FILE_HEADER.pack(_FILE_MAGIC, _WAL_VERSION, self._epoch)
-        if legacy or (header_tear is not None and truncate):
-            # One-time migration (or torn-header reinit): rewrite as
-            # header + intact frames via the atomic temp + replace
-            # dance (also trims any tear).
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            keep = frames[: good_offset - base] if (tear is None or truncate) else frames
-            with open(tmp, "wb") as fh:
-                fh.write(header + keep)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            self._fsync_parent()
-        elif not data:
+        self._epoch = epoch
+        if not data or (header_tear is not None and truncate):
+            # A new log, or a torn-header reinit: write a fresh header.
             with open(self.path, "wb") as fh:
-                fh.write(header)
+                fh.write(_FILE_HEADER.pack(_FILE_MAGIC, _WAL_VERSION, self._epoch))
                 fh.flush()
                 os.fsync(fh.fileno())
-            self._fsync_parent()
+            _fsync_dir(self.path)
         elif tear is not None and truncate:
             with open(self.path, "r+b") as fh:
                 fh.truncate(good_offset)
@@ -313,21 +503,12 @@ class WriteAheadLog:
         self._recovered = True
         return records, tear
 
-    def _fsync_parent(self) -> None:
-        """Fsync the log's directory so a create/replace survives power loss."""
-        fd = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def replay(self) -> Iterator[Tuple[int, dict]]:
+    def replay(self) -> Iterator[Tuple[int, WalRecord]]:
         """``(sequence, record)`` pairs of every intact frame on disk."""
         if self.path.exists():
             data = self.path.read_bytes()
-            if data[:4] == _FILE_MAGIC:
-                data = data[_FILE_HEADER.size :]
-            records, _, _ = self._scan(data)
+            _, base, _ = _parse_file_header(self.path, data)
+            records, _, _ = _scan(data[base:], base=base)
             yield from enumerate(records)
 
     # ------------------------------------------------------------------
@@ -344,15 +525,16 @@ class WriteAheadLog:
             self._file = open(self.path, "ab")
         return self._file
 
-    def append(self, record: Mapping[str, Any]) -> int:
+    def append(self, record: Union[Mapping[str, Any], bytes]) -> int:
         """Durably append one record; returns its sequence number.
 
-        The returned sequence is the record's replay position (0-based)
-        — the same number :func:`repro.service.core.batch_seed` derives
-        the batch randomness from, which is what makes replay
-        byte-identical.
+        ``record`` is either a mapping, framed here by
+        :func:`encode_frame`, or an already-framed ``bytes`` object — a
+        frame the caller built, or received and verified with
+        :func:`decode_frame` — which is appended verbatim.  The returned
+        sequence is the record's replay position (0-based).
         """
-        frame = encode_frame(record)
+        frame = record if isinstance(record, bytes) else encode_frame(record)
         sequence = self._sequence
         spec = fault_point(
             "service.wal.append", sequence=sequence, bytes=len(frame)
@@ -362,7 +544,7 @@ class WriteAheadLog:
             if spec.kind == "torn-write":
                 damaged = frame[: max(1, len(frame) // 2)]
             else:
-                flip = len(_MAGIC) + _HEADER.size  # first payload byte
+                flip = _FRAME_OVERHEAD  # first payload byte
                 damaged = frame[:flip] + bytes([frame[flip] ^ 0xFF]) + frame[flip + 1 :]
             fh.write(damaged)
             fh.flush()
@@ -414,7 +596,7 @@ class WriteAheadLog:
         offset = _FILE_HEADER.size if data[:4] == _FILE_MAGIC else 0
         for _ in range(records):
             length, _crc = _HEADER.unpack_from(data, offset + len(_MAGIC))
-            offset += len(_MAGIC) + _HEADER.size + length
+            offset += _FRAME_OVERHEAD + length
         with open(self.path, "r+b") as fh:
             fh.truncate(offset)
             fh.flush()

@@ -5,8 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ReportBatch, SketchParams, encode_report, encode_reports
-from repro.errors import ParameterError
+from repro.api import JoinSession
+from repro.core import (
+    PackedReports,
+    ReportBatch,
+    SketchParams,
+    encode_report,
+    encode_reports,
+    encode_reports_into,
+    encode_reports_packed,
+    packed_report_dtype,
+)
+from repro.errors import DomainError, ParameterError
 from repro.hashing import HashPairs
 from repro.transform import hadamard_matrix
 
@@ -127,3 +137,77 @@ class TestReportBatch:
         b2 = encode_reports(np.arange(5), other_params, small_pairs, 1)
         with pytest.raises(ParameterError, match="different parameters"):
             b1.concat(b2)
+
+
+class TestPackedReports:
+    """``encode_reports_packed``: the same draws as ``encode_reports_into``."""
+
+    @staticmethod
+    def _heterogeneous_pairs(params):
+        # Mixed hash degrees leave no stacked coefficients, so the encoder
+        # takes the generic per-chunk path instead of the fused kernel.
+        from repro.hashing.kwise import KWiseHash
+        from repro.hashing.sign import SignHash
+
+        pairs = HashPairs(
+            params.k,
+            params.m,
+            bucket_hashes=[
+                KWiseHash(independence=2 + (j % 2), seed=j) for j in range(params.k)
+            ],
+            sign_hashes=[SignHash(seed=100 + j) for j in range(params.k)],
+        )
+        assert pairs._bucket_coeffs is None
+        return pairs
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("chunk_size", [50, 8192])
+    def test_fold_matches_fused_accumulator(self, fused, chunk_size):
+        params = SketchParams(k=5, m=64, epsilon=1.5)
+        pairs = HashPairs(5, 64, seed=2) if fused else self._heterogeneous_pairs(params)
+        values = np.random.default_rng(0).integers(0, 10_000, size=20_000)
+        packed = encode_reports_packed(
+            values, params, pairs, rng=9, chunk_size=chunk_size
+        )
+        assert packed.codes.dtype == np.dtype("<u2") and len(packed) == values.size
+        folded = np.zeros((params.k, params.m), dtype=np.int64)
+        cells, ys = packed.cells_and_signs()
+        np.add.at(folded.reshape(-1), cells, ys)
+        reference = np.zeros_like(folded)
+        encode_reports_into(
+            values, params, pairs, reference, rng=9, chunk_size=chunk_size
+        )
+        assert np.array_equal(folded, reference)
+
+    def test_session_folds_packed_reports_like_values(self):
+        params = SketchParams(k=4, m=32, epsilon=2.0)
+        values = np.random.default_rng(1).integers(0, 500, size=3000)
+        direct = JoinSession(params, seed=4)
+        direct.collect("A", values, seed=11)
+        packed = JoinSession(params, pairs=direct.pairs)
+        packed.collect(
+            "A", encode_reports_packed(values, params, direct.pairs[0], rng=11)
+        )
+        assert np.array_equal(direct.to_partial().arrays["stream:A:raw"],
+                              packed.to_partial().arrays["stream:A:raw"])
+        assert direct.ledger.charges == packed.ledger.charges
+        assert (
+            direct.to_partial().counters["stream:A:uplink_bits"]
+            == packed.to_partial().counters["stream:A:uplink_bits"]
+        )
+
+    def test_codes_are_validated(self):
+        params = SketchParams(k=2, m=8, epsilon=1.0)
+        assert packed_report_dtype(2, 8) == np.dtype("<u1")
+        assert packed_report_dtype(18, 1024) == np.dtype("<u2")
+        assert packed_report_dtype(200, 256) == np.dtype("<u4")
+        PackedReports(np.array([0, 31], dtype=np.uint8), params)
+        with pytest.raises(ParameterError, match="outside"):
+            PackedReports(np.array([32], dtype=np.uint8), params)
+        with pytest.raises(ParameterError, match="unsigned"):
+            PackedReports(np.array([1], dtype=np.int64), params)
+
+    def test_out_of_domain_values_raise_before_drawing(self):
+        params = SketchParams(k=2, m=8, epsilon=1.0)
+        with pytest.raises(DomainError):
+            encode_reports_packed([3, -1], params, HashPairs(2, 8, seed=0), rng=1)

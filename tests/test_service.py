@@ -24,6 +24,7 @@ from repro.api import JoinSession
 from repro.core import SketchParams
 from repro.distributed import PartialAggregate
 from repro.errors import (
+    DomainError,
     InjectedCrashError,
     ParameterError,
     PartialIntegrityError,
@@ -255,6 +256,27 @@ class TestAggregationService:
             service.ingest(tenant, stream, values)
         assert len(service.wal) == 0  # rejected batches never hit the WAL
         service.close()
+
+    @pytest.mark.parametrize("bad", [-1, 2**31 - 1])
+    def test_out_of_domain_batch_cannot_poison_restart(self, tmp_path, bad):
+        """A value outside the hash domain is refused before the append."""
+        service = AggregationService(make_config(tmp_path))
+        service.start()
+        for tenant, stream, values in make_batches(3):
+            service.ingest(tenant, stream, values)
+        service.publish()
+        digest = service.snapshot.digest
+        wal_bytes = (tmp_path / "wal.log").read_bytes()
+        with pytest.raises(DomainError):
+            service.ingest(TENANT, "A", [5, bad])
+        assert len(service.wal) == 3
+        assert (tmp_path / "wal.log").read_bytes() == wal_bytes
+        service.close()
+        restarted = AggregationService(make_config(tmp_path))
+        assert restarted.start()["wal_records"] == 3
+        restarted.publish()
+        assert restarted.snapshot.digest == digest
+        restarted.close()
 
     def test_batch_admission_cap(self, tmp_path):
         service = AggregationService(make_config(tmp_path, max_batch_reports=8))
@@ -577,6 +599,17 @@ class TestServiceServer:
                     {"tenant": TENANT, "stream": "A", "values": []},
                 )
                 assert status == 400
+                # 400 with a typed kind: a value outside the hash domain,
+                # refused before the WAL append.
+                status, body, _ = await _request(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/report",
+                    {"tenant": TENANT, "stream": "A", "values": [5, -1]},
+                )
+                assert status == 400 and body["error_kind"] == "domain"
+                assert len(server.service.wal) == 0
                 # 400: bad estimate queries.
                 status, _, _ = await _request(host, port, "GET", "/v1/estimate")
                 assert status == 400

@@ -5,8 +5,8 @@ primary kills, torn replication streams, and client retries leaves the
 surviving node's published snapshot byte-identical to a fault-free
 single-node run*:
 
-* Unit tests for the WAL v2 fencing-epoch header (persistence,
-  monotonicity, legacy-file migration) and the ``fsync="batch"``
+* Unit tests for the WAL fencing-epoch header (persistence,
+  monotonicity, typed refusal of headerless raw-value files) and the ``fsync="batch"``
   mid-batch crash window (recovery truncates to the last intact frame
   and the service logs a typed tear reason).
 * Deterministic protocol tests: frame shipping and digest parity, gap
@@ -25,12 +25,15 @@ single-node run*:
 from __future__ import annotations
 
 import base64
+import json
 import logging
 import os
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,7 @@ from repro.errors import (
     ReplicaGapError,
     ReplicationQuorumError,
     RetryExhaustedError,
+    WalFormatError,
 )
 from repro.reliability import FaultPlan
 from repro.reliability.faults import injected
@@ -125,7 +129,7 @@ def baseline():
 
 
 # ---------------------------------------------------------------------------
-# WAL v2: fencing-epoch header
+# WAL: fencing-epoch header
 # ---------------------------------------------------------------------------
 class TestWalEpochHeader:
     def test_new_wal_starts_at_epoch_zero(self, tmp_path):
@@ -161,22 +165,23 @@ class TestWalEpochHeader:
         with pytest.raises(ParameterError):
             wal.set_epoch(1)
 
-    def test_legacy_headerless_file_migrates(self, tmp_path):
-        # A v1 WAL: frames only, no file header.
+    def test_legacy_headerless_file_is_refused(self, tmp_path):
+        # A v1 WAL: raw-value JSON frames only, no file header.  It is
+        # refused with a typed error naming the converter, not migrated
+        # and not misread as a torn tail.
         path = tmp_path / "wal.log"
-        legacy = [{"tenant": TENANT, "n": i} for i in range(4)]
-        path.write_bytes(b"".join(encode_frame(r) for r in legacy))
-        wal = WriteAheadLog(path)
-        records, tear = wal.recover()
-        assert records == legacy and tear is None
-        assert wal.epoch == 0
-        wal.append({"n": 99})
-        wal.close()
-        # After migration the file is a v2 file: reopen reads the header.
-        again = WriteAheadLog(path)
-        records, tear = again.recover()
-        assert [r["n"] for r in records] == [0, 1, 2, 3, 99]
-        again.close()
+        payloads = [
+            json.dumps({"tenant": TENANT, "stream": "A", "values": [i]}).encode()
+            for i in range(4)
+        ]
+        data = b"".join(
+            b"RW" + struct.pack("<II", len(p), zlib.crc32(p)) + p for p in payloads
+        )
+        path.write_bytes(data)
+        with pytest.raises(WalFormatError, match="convert_raw_value_wal") as info:
+            WriteAheadLog(path).recover()
+        assert info.value.version == 1
+        assert path.read_bytes() == data
 
     @pytest.mark.parametrize("size", [4, 6, 15])
     def test_torn_file_header_reinitialises_at_epoch_zero(self, tmp_path, size):
@@ -553,7 +558,7 @@ class TestDivergenceRepair:
         # a sequence-only duplicate ack here would lose the acked write.
         assert a.role == "standby"
         assert a.status()["wal_sequence"] == 4
-        assert encode_frame(a._records[3]) == encode_frame(b._records[3])
+        assert a._records[3] == b._records[3]  # the stored frames, byte for byte
         assert (TENANT, "forked") not in a._dedup  # the fork's key died too
         assert a.publish()["digest"] == b.publish()["digest"]
         # The truncation is durable: a restart replays the healed history.
