@@ -56,6 +56,13 @@ every PR has a perf baseline to beat:
   Schema v8 adds the cold restart: fresh in-process ``start()`` calls
   over the ingest leg's data directory, with
   ``recover_reports_per_sec`` read by ``--min-recover``.
+* ``baselines`` (schema v9) — the all-rows hash paths: Fast-AGMS
+  ``update_batch`` throughput (values/sec) on a ``zipf-1.5`` stream and
+  on an all-distinct stream of ``n`` values (hashing runs once per
+  distinct value, so the all-distinct stream is the worst case), and the
+  seconds of one LDPJoinSketch+ phase-1 ``find_frequent_items`` scan over
+  both sketches at ``D = 262,144``.  CI's ``--min-fagms-update`` floor
+  reads ``fagms_update_zipf_values_per_sec``.
 
 :func:`run_suite` returns a JSON-compatible payload;
 :func:`validate_payload` is the schema check CI runs against the emitted
@@ -80,15 +87,22 @@ from repro.backend import (
     get_backend,
     resolve_backend,
 )
-from repro.core import SketchParams, encode_reports, encode_reports_into
+from repro.core import (
+    SketchParams,
+    build_sketch,
+    encode_reports,
+    encode_reports_into,
+    find_frequent_items,
+)
 from repro.core.client import DEFAULT_CHUNK_SIZE
 from repro.data import make_join_instance
 from repro.experiments.sweep import plan_grid, run_sweep
 from repro.hashing import HashPairs
 from repro.hashing.kwise import MERSENNE_PRIME_31
 from repro.rng import derive_seed, ensure_rng
+from repro.sketches import FastAGMSSketch
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Shard count of the ``distributed`` section (one tree of depth 3).
 DISTRIBUTED_SHARDS = 8
@@ -106,6 +120,9 @@ SWEEP_METHODS = ("ldp-join-sketch", "ldp-compass")
 SWEEP_EPSILONS = (2.0, 4.0, 8.0)
 SWEEP_TRIALS = 5
 SWEEP_DATASET = "zipf-1.1"
+
+#: Candidate domain of the ``baselines`` frequent-item scan.
+FREQUENT_ITEMS_DOMAIN = 1 << 18
 
 #: Sketch shape of every benchmark (the paper's defaults).
 BENCH_K = 18
@@ -559,6 +576,40 @@ def _bench_serialize(n: int, repeats: int) -> Dict[str, float]:
     }
 
 
+def _bench_baselines(n: int, repeats: int) -> Dict[str, float]:
+    """Fast-AGMS updates and the shared phase-1 frequent-item scan."""
+    pairs = HashPairs(BENCH_K, BENCH_M, seed=BENCH_SEED)
+    instance = make_join_instance("zipf-1.5", size=n, seed=BENCH_SEED)
+    zipf = np.asarray(instance.values_a, dtype=np.int64)
+    distinct = np.random.default_rng(BENCH_SEED).permutation(n).astype(np.int64)
+
+    def update(values):
+        return lambda: FastAGMSSketch(pairs).update_batch(values)
+
+    zipf_seconds = _best_of(update(zipf), repeats)
+    distinct_seconds = _best_of(update(distinct), repeats)
+
+    params = SketchParams(BENCH_K, BENCH_M, BENCH_EPSILON)
+    sketches = [
+        build_sketch(encode_reports(values, params, pairs, BENCH_SEED + i), pairs)
+        for i, values in enumerate((instance.values_a, instance.values_b))
+    ]
+    threshold = 0.01  # the LDPJoinSketch+ default theta
+    scan_seconds = _best_of(
+        lambda: find_frequent_items(sketches, FREQUENT_ITEMS_DOMAIN, threshold), repeats
+    )
+    return {
+        "n": n,
+        "fagms_update_zipf_distinct": int(np.unique(zipf).size),
+        "fagms_update_zipf_seconds": zipf_seconds,
+        "fagms_update_zipf_values_per_sec": _rate(n, zipf_seconds),
+        "fagms_update_distinct_seconds": distinct_seconds,
+        "fagms_update_distinct_values_per_sec": _rate(n, distinct_seconds),
+        "frequent_items_domain": FREQUENT_ITEMS_DOMAIN,
+        "frequent_items_seconds": scan_seconds,
+    }
+
+
 def _decode_for_bench(raw_entry) -> np.ndarray:
     from repro.serialization import decode_array
 
@@ -612,6 +663,7 @@ def run_suite(quick: bool = False, backends_n: int = None) -> dict:
             "backends": _bench_backends(backends_n, backends_repeats),
             "distributed": _bench_distributed(n, repeats),
             "service": _bench_service(quick),
+            "baselines": _bench_baselines(n, repeats),
         },
     }
 
@@ -717,6 +769,16 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
         "window_query_p50_ms",
         "window_query_p99_ms",
         "window_estimates_per_sec",
+    ),
+    "baselines": (
+        "n",
+        "fagms_update_zipf_distinct",
+        "fagms_update_zipf_seconds",
+        "fagms_update_zipf_values_per_sec",
+        "fagms_update_distinct_seconds",
+        "fagms_update_distinct_values_per_sec",
+        "frequent_items_domain",
+        "frequent_items_seconds",
     ),
 }
 

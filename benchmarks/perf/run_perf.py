@@ -129,6 +129,15 @@ def main(argv=None) -> int:
         "service recovered at least X WAL reports/sec over the data "
         "directory the ingest leg left behind",
     )
+    parser.add_argument(
+        "--min-fagms-update",
+        type=float,
+        default=None,
+        metavar="X",
+        help="with --validate: fail unless Fast-AGMS update_batch folded at "
+        "least X zipf-1.5 values/sec (the baselines section; hashing runs "
+        "once per distinct value)",
+    )
     args = parser.parse_args(argv)
 
     # Flags are mode-specific; a CI edit that drops --validate must fail
@@ -147,6 +156,7 @@ def main(argv=None) -> int:
             ("--min-quorum-ingest", args.min_quorum_ingest is not None),
             ("--min-window-estimate", args.min_window_estimate is not None),
             ("--min-recover", args.min_recover is not None),
+            ("--min-fagms-update", args.min_fagms_update is not None),
         ):
             if given:
                 parser.error(f"{flag} only applies with --validate")
@@ -301,6 +311,21 @@ def main(argv=None) -> int:
                 f"({service['recover_p50_ms']:.1f}ms for {service['n']:,.0f} "
                 f"reports)"
             )
+        if args.min_fagms_update is not None:
+            baselines = payload["sections"]["baselines"]
+            rate = baselines["fagms_update_zipf_values_per_sec"]
+            if rate < args.min_fagms_update:
+                print(
+                    f"[fail] Fast-AGMS update at {rate:,.0f} values/s — below "
+                    f"the {args.min_fagms_update:,.0f}/s floor"
+                )
+                return 1
+            print(
+                f"[ok] Fast-AGMS update at {rate:,.0f} zipf values/s "
+                f"({baselines['fagms_update_distinct_values_per_sec']:,.0f}/s "
+                f"all-distinct); two-sketch frequent-item scan "
+                f"{baselines['frequent_items_seconds']:.3f}s"
+            )
         print(f"[ok] {args.validate} matches BENCH_perf schema v{payload['schema_version']}")
         return 0
 
@@ -379,6 +404,16 @@ def main(argv=None) -> int:
         f"(p50 {service['window_query_p50_ms']:.2f}ms / p99 "
         f"{service['window_query_p99_ms']:.2f}ms), temporal ingest "
         f"{service['window_ingest_reports_per_sec']:,.0f} reports/s"
+    )
+    baselines = payload["sections"]["baselines"]
+    print(
+        f"[bench] baselines (n={baselines['n']:.0f}): Fast-AGMS update "
+        f"{baselines['fagms_update_zipf_values_per_sec']:,.0f} zipf-1.5 values/s "
+        f"({baselines['fagms_update_zipf_distinct']:.0f} distinct), "
+        f"{baselines['fagms_update_distinct_values_per_sec']:,.0f}/s all-distinct; "
+        f"frequent-item scan of 2 sketches over "
+        f"{baselines['frequent_items_domain']:.0f} values "
+        f"{baselines['frequent_items_seconds']:.3f}s"
     )
     print(f"[bench] wrote {args.out}")
     return 0

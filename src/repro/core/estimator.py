@@ -9,16 +9,18 @@ sketch class:
   (Section V-C): scan a candidate domain with Theorem 7 frequency
   estimates and keep every value whose estimate exceeds
   ``threshold * total``; the paper's frequent-item set is the *union*
-  of the two attributes' sets.
+  of the two attributes' sets, which one call over both sketches
+  returns from a single hash pass.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import ParameterError
+from ..sketches.base import HASH_CHUNK, scan_domain
 from ..validation import require_positive_int, require_probability
 from .server import LDPJoinSketch
 
@@ -31,57 +33,72 @@ def estimate_join_size(sketch_a: LDPJoinSketch, sketch_b: LDPJoinSketch) -> floa
 
 
 def find_frequent_items(
-    sketch: LDPJoinSketch,
+    sketches: Union[LDPJoinSketch, Sequence[LDPJoinSketch]],
     domain_size: int,
     threshold: float,
     *,
     total: Optional[float] = None,
-    chunk_size: int = 262_144,
+    chunk_size: int = HASH_CHUNK,
     method: str = "median",
 ) -> np.ndarray:
     """Values whose estimated frequency exceeds ``threshold * total``.
 
     Parameters
     ----------
-    sketch:
-        A constructed LDPJoinSketch summarising the attribute (phase 1 of
-        LDPJoinSketch+ builds it from sampled users).
+    sketches:
+        One constructed LDPJoinSketch summarising an attribute (phase 1 of
+        LDPJoinSketch+ builds it from sampled users), or several built
+        with the same :class:`~repro.hashing.HashPairs`.  Several sketches
+        return the *union* of their frequent sets — the paper's
+        ``FI = FI_A ∪ FI_B`` — equal to ``np.union1d`` of one call per
+        sketch, but each candidate is hashed once for all of them.
     domain_size:
         Candidate domain ``[0, domain_size)`` to scan.
     threshold:
         The paper's relative threshold ``theta`` in ``(0, 1]``.
     total:
-        Reference total frequency; defaults to the number of reports that
-        built the sketch (``|S_A|``), matching
+        Reference total frequency, shared by every sketch; defaults to
+        each sketch's own report count (``|S_A|``), matching
         ``FI_A = {d : f~(d) > theta |A|}`` evaluated at sample scale.
     chunk_size:
-        Domain values are scanned in chunks of this size to bound memory
-        (``k x chunk`` intermediates).
+        Domain values are scanned in chunks of this size, which bounds
+        memory to ``k x chunk`` intermediates; the default keeps them
+        cache-resident.
     method:
         ``"median"`` (default) selects with the collision-robust
         Count-Sketch read-out; ``"mean"`` is the paper-verbatim Theorem 7
         estimator, which a single colliding heavy value can push over the
-        threshold for thousands of light items (see DESIGN.md).
+        threshold for thousands of light items (see DESIGN.md).  The
+        median selection is pruned exactly: a median of ``k`` rows exceeds
+        the cutoff only if at least ``ceil(k/2)`` rows do, so the median is
+        computed only for candidates with that many rows above it.
 
     Returns
     -------
     numpy.ndarray
         Sorted array of frequent value ids.
     """
+    sketches = [sketches] if isinstance(sketches, LDPJoinSketch) else list(sketches)
+    if not sketches:
+        raise ParameterError("find_frequent_items needs at least one sketch")
+    for other in sketches[1:]:
+        sketches[0].check_compatible(other)
     domain_size = require_positive_int("domain_size", domain_size)
     threshold = require_probability("threshold", threshold)
     chunk_size = require_positive_int("chunk_size", chunk_size)
-    if total is None:
-        total = float(sketch.num_reports)
-    if total < 0:
+    if method not in ("mean", "median"):
+        raise ParameterError(f"method must be 'mean' or 'median', got {method!r}")
+    if total is not None and total < 0:
         raise ParameterError(f"total must be >= 0, got {total}")
-
-    cutoff = threshold * total
-    hits = []
-    for start in range(0, domain_size, chunk_size):
-        candidates = np.arange(start, min(start + chunk_size, domain_size), dtype=np.int64)
-        estimates = sketch.frequencies(candidates, method=method)
-        hits.append(candidates[estimates > cutoff])
-    if not hits:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(hits)
+    cutoffs = [
+        threshold * (float(sketch.num_reports) if total is None else total)
+        for sketch in sketches
+    ]
+    return scan_domain(
+        sketches[0].pairs,
+        [sketch.counts for sketch in sketches],
+        cutoffs,
+        domain_size,
+        read_out=method,
+        chunk_size=chunk_size,
+    )

@@ -138,9 +138,9 @@ class LDPJoinSketchPlus:
         sketch_sa = build_sketch(reports_sa, pairs1)
         sketch_sb = build_sketch(reports_sb, pairs1)
 
-        fi_a = find_frequent_items(sketch_sa, domain_size, self.threshold, method=self.fi_method)
-        fi_b = find_frequent_items(sketch_sb, domain_size, self.threshold, method=self.fi_method)
-        frequent_items = np.union1d(fi_a, fi_b)
+        frequent_items = find_frequent_items(
+            [sketch_sa, sketch_sb], domain_size, self.threshold, method=self.fi_method
+        )
 
         # Population-scale frequent mass (Algorithm 5 lines 1-4), clipped
         # to the physically possible range.

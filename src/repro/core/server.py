@@ -27,6 +27,7 @@ from ..accumulate import scatter_add_signed_units
 from ..errors import IncompatibleSketchError, ParameterError, require_merge_compatible
 from ..hashing import HashPairs
 from ..serialization import decode_array, encode_array
+from ..sketches.base import hash_cells, read_cells
 from ..transform.hadamard import fwht_inplace
 from ..validation import as_value_array
 from .client import ReportBatch
@@ -164,10 +165,7 @@ class LDPJoinSketch:
         arr = as_value_array(values)
         if arr.size == 0:
             return np.zeros(0, dtype=np.float64)
-        buckets = self.pairs.bucket_all(arr)      # (k, n)
-        signs = self.pairs.sign_all(arr)          # (k, n)
-        rows = np.arange(self.k, dtype=np.int64)[:, None]
-        picked = self.counts[rows, buckets] * signs
+        picked = read_cells(self.counts, *hash_cells(self.pairs, arr))    # (k, n)
         if method == "median":
             return np.median(picked, axis=0)
         return np.mean(picked, axis=0)

@@ -801,13 +801,9 @@ class _PlusDriver:
         sketch_sa = _phase1_sketch("SA")
         sketch_sb = _phase1_sketch("SB")
         domain = require_positive_int("domain_size", instance.domain_size)
-        fi_a = find_frequent_items(
-            sketch_sa, domain, protocol.threshold, method=protocol.fi_method
+        frequent_items = find_frequent_items(
+            [sketch_sa, sketch_sb], domain, protocol.threshold, method=protocol.fi_method
         )
-        fi_b = find_frequent_items(
-            sketch_sb, domain, protocol.threshold, method=protocol.fi_method
-        )
-        frequent_items = np.union1d(fi_a, fi_b)
         # The frequent-item set is now *broadcast*: round-2 losses cannot
         # retract it, but every downstream statistic (sample sizes, high
         # masses, group sizes) is computed after round 2, over the final

@@ -58,13 +58,18 @@ class AGMSSketch:
     # Updates
     # ------------------------------------------------------------------
     def update_batch(self, values: Iterable[int], weight: float = 1.0) -> None:
-        """Fold ``values`` into all ``k * m`` counters."""
+        """Fold ``values`` into all ``k * m`` counters.
+
+        One sign evaluation per distinct value ``d``, weighted by its count.
+        """
         arr = as_value_array(values)
         if arr.size == 0:
             return
+        distinct, multiplicity = np.unique(arr, return_counts=True)
         for j in range(self.k):
             for x in range(self.m):
-                self.counts[j, x] += weight * float(np.sum(self.sign_hashes[j][x](arr)))
+                signed = np.dot(self.sign_hashes[j][x](distinct), multiplicity)
+                self.counts[j, x] += weight * float(signed)
         self.total_weight += weight * arr.size
 
     def update(self, value: int, weight: float = 1.0) -> None:

@@ -23,8 +23,8 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..hashing import HashPairs
-from ..rng import RandomState
-from .base import LinearSketch
+from ..validation import as_value_array
+from .base import LinearSketch, read_cells
 
 __all__ = ["CountMeanSketch", "count_mean_frequencies"]
 
@@ -47,35 +47,16 @@ def count_mean_frequencies(
     arr = np.asarray(values, dtype=np.int64)
     if arr.size == 0:
         return np.zeros(0, dtype=np.float64)
-    buckets = pairs.bucket_all(arr)
-    rows = np.arange(pairs.k, dtype=np.int64)[:, None]
-    mean_counts = np.mean(counts[rows, buckets], axis=0)
+    mean_counts = np.mean(read_cells(counts, pairs.bucket_all(arr), None), axis=0)
     return (m / (m - 1.0)) * (mean_counts - total / m)
 
 
 class CountMeanSketch(LinearSketch):
-    """Non-private Count-Mean Sketch over integer ids."""
+    """Non-private Count-Mean Sketch over integer ids (unsigned updates)."""
 
-    @classmethod
-    def create(cls, k: int, m: int, seed: RandomState = None) -> "CountMeanSketch":
-        """Convenience constructor drawing fresh hash pairs."""
-        return cls(HashPairs(k, m, seed))
-
-    def update_batch(self, values: Iterable[int], weight: float = 1.0) -> None:
-        """Fold ``values`` into every row (unsigned one-hot updates)."""
-        arr = self._coerce(values)
-        if arr.size == 0:
-            return
-        buckets = self.pairs.bucket_all(arr)
-        rows = np.repeat(np.arange(self.k, dtype=np.int64), arr.size)
-        self._scatter_add(rows, buckets.ravel(), np.full(arr.size * self.k, weight))
-        self.total_weight += weight * arr.size
-
-    def frequency(self, value: int) -> float:
-        """Debiased mean point estimate (can be negative)."""
-        return float(self.frequencies(np.asarray([value], dtype=np.int64))[0])
+    signed = False
 
     def frequencies(self, values: Iterable[int]) -> np.ndarray:
-        """Vectorised :meth:`frequency`."""
-        arr = self._coerce(values)
+        """Debiased mean point estimates (can be negative)."""
+        arr = as_value_array(values)
         return count_mean_frequencies(self.counts, self.pairs, self.total_weight, arr)

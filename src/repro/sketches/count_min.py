@@ -14,9 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..hashing import HashPairs
-from ..rng import RandomState
-from .base import LinearSketch
+from .base import LinearSketch, scan_domain
 
 __all__ = ["CountMinSketch"]
 
@@ -24,36 +22,12 @@ __all__ = ["CountMinSketch"]
 class CountMinSketch(LinearSketch):
     """Count-Min sketch over integer ids (signs unused)."""
 
-    @classmethod
-    def create(cls, k: int, m: int, seed: RandomState = None) -> "CountMinSketch":
-        """Convenience constructor drawing fresh hash pairs."""
-        return cls(HashPairs(k, m, seed))
-
-    def update_batch(self, values: Iterable[int], weight: float = 1.0) -> None:
-        """Fold ``values`` into every row."""
-        arr = self._coerce(values)
-        if arr.size == 0:
-            return
-        buckets = self.pairs.bucket_all(arr)
-        rows = np.repeat(np.arange(self.k, dtype=np.int64), arr.size)
-        self._scatter_add(rows, buckets.ravel(), np.full(arr.size * self.k, weight))
-        self.total_weight += weight * arr.size
-
-    def frequency(self, value: int) -> float:
-        """Point estimate ``min_j M[j, h_j(d)]`` (never under-estimates)."""
-        return float(self.frequencies(np.asarray([value], dtype=np.int64))[0])
+    signed = False
 
     def frequencies(self, values: Iterable[int]) -> np.ndarray:
-        """Vectorised :meth:`frequency`."""
-        arr = self._coerce(values)
-        if arr.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        buckets = self.pairs.bucket_all(arr)
-        rows = np.arange(self.k, dtype=np.int64)[:, None]
-        return np.min(self.counts[rows, buckets], axis=0)
+        """Point estimates ``min_j M[j, h_j(d)]`` (never under-estimate)."""
+        return self._read(values, np.min)
 
     def heavy_hitters(self, domain_size: int, threshold: float) -> np.ndarray:
-        """All values of ``[0, domain_size)`` whose estimate exceeds ``threshold``."""
-        candidates = np.arange(domain_size, dtype=np.int64)
-        estimates = self.frequencies(candidates)
-        return candidates[estimates > threshold]
+        """Values of ``[0, domain_size)`` whose estimate exceeds ``threshold`` (chunked scan)."""
+        return scan_domain(self.pairs, [self.counts], [threshold], domain_size, read_out="min")

@@ -14,9 +14,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from ..hashing import HashPairs
-from ..rng import RandomState
-from .base import LinearSketch
+from .base import LinearSketch, scan_domain
 
 __all__ = ["CountSketch"]
 
@@ -24,39 +22,11 @@ __all__ = ["CountSketch"]
 class CountSketch(LinearSketch):
     """Count-Sketch over integer ids."""
 
-    @classmethod
-    def create(cls, k: int, m: int, seed: RandomState = None) -> "CountSketch":
-        """Convenience constructor drawing fresh hash pairs."""
-        return cls(HashPairs(k, m, seed))
-
-    def update_batch(self, values: Iterable[int], weight: float = 1.0) -> None:
-        """Fold ``values`` into every row with their signs."""
-        arr = self._coerce(values)
-        if arr.size == 0:
-            return
-        buckets = self.pairs.bucket_all(arr)
-        signs = self.pairs.sign_all(arr)
-        rows = np.repeat(np.arange(self.k, dtype=np.int64), arr.size)
-        self._scatter_add(rows, buckets.ravel(), weight * signs.ravel().astype(np.float64))
-        self.total_weight += weight * arr.size
-
-    def frequency(self, value: int) -> float:
-        """Unbiased point estimate ``median_j M[j, h_j(d)] xi_j(d)``."""
-        return float(self.frequencies(np.asarray([value], dtype=np.int64))[0])
-
     def frequencies(self, values: Iterable[int]) -> np.ndarray:
-        """Vectorised :meth:`frequency`."""
-        arr = self._coerce(values)
-        if arr.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        buckets = self.pairs.bucket_all(arr)
-        signs = self.pairs.sign_all(arr)
-        rows = np.arange(self.k, dtype=np.int64)[:, None]
-        return np.median(self.counts[rows, buckets] * signs, axis=0)
+        """Unbiased point estimates ``median_j M[j, h_j(d)] xi_j(d)``."""
+        return self._read(values, np.median)
 
     def heavy_hitters(self, domain_size: int, threshold: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Values whose estimate exceeds ``threshold`` plus their estimates."""
-        candidates = np.arange(domain_size, dtype=np.int64)
-        estimates = self.frequencies(candidates)
-        mask = estimates > threshold
-        return candidates[mask], estimates[mask]
+        """Values whose estimate exceeds ``threshold`` (chunked scan) and their estimates."""
+        values = scan_domain(self.pairs, [self.counts], [threshold], domain_size)
+        return values, self.frequencies(values)

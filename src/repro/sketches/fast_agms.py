@@ -17,7 +17,9 @@ Estimates supported here (all used by the paper):
 * **second moment** ``F2``: the self-join estimate.
 
 This class is the non-private **FAGMS** baseline of the experiments and
-the structure that :mod:`repro.core` privatises.
+the structure that :mod:`repro.core` privatises.  An update hashes each
+*distinct* value once and adds ``multiplicity * xi_j(d)``; for integer
+weights the counters are bit-identical to per-occurrence updates.
 """
 
 from __future__ import annotations
@@ -26,48 +28,14 @@ from typing import Iterable
 
 import numpy as np
 
-from ..hashing import HashPairs
-from ..rng import RandomState
 from .base import LinearSketch
 
 __all__ = ["FastAGMSSketch"]
 
 
 class FastAGMSSketch(LinearSketch):
-    """Fast-AGMS sketch over integer ids.
+    """Fast-AGMS sketch over integer ids; joined sketches share one ``HashPairs``."""
 
-    Parameters
-    ----------
-    pairs:
-        The per-row hash pairs.  Two sketches that will be joined must be
-        constructed from the *same* :class:`HashPairs` object.
-    """
-
-    def __init__(self, pairs: HashPairs) -> None:
-        super().__init__(pairs)
-
-    @classmethod
-    def create(cls, k: int, m: int, seed: RandomState = None) -> "FastAGMSSketch":
-        """Convenience constructor drawing fresh hash pairs."""
-        return cls(HashPairs(k, m, seed))
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def update_batch(self, values: Iterable[int], weight: float = 1.0) -> None:
-        """Fold ``values`` into every row of the sketch."""
-        arr = self._coerce(values)
-        if arr.size == 0:
-            return
-        buckets = self.pairs.bucket_all(arr)          # (k, n)
-        signs = self.pairs.sign_all(arr)              # (k, n)
-        rows = np.repeat(np.arange(self.k, dtype=np.int64), arr.size)
-        self._scatter_add(rows, buckets.ravel(), weight * signs.ravel().astype(np.float64))
-        self.total_weight += weight * arr.size
-
-    # ------------------------------------------------------------------
-    # Estimates
-    # ------------------------------------------------------------------
     def inner_product(self, other: "FastAGMSSketch") -> float:
         """Eq. (1): median over rows of the row-wise inner products."""
         self.check_compatible(other)
@@ -79,18 +47,6 @@ class FastAGMSSketch(LinearSketch):
         per_row = np.einsum("jx,jx->j", self.counts, self.counts)
         return float(np.median(per_row))
 
-    def frequency(self, value: int) -> float:
-        """Count-Sketch point estimate ``median_j M[j, h_j(d)] xi_j(d)``."""
-        estimates = self.frequencies(np.asarray([value], dtype=np.int64))
-        return float(estimates[0])
-
     def frequencies(self, values: Iterable[int]) -> np.ndarray:
-        """Vectorised :meth:`frequency` for a batch of values."""
-        arr = self._coerce(values)
-        if arr.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        buckets = self.pairs.bucket_all(arr)          # (k, n)
-        signs = self.pairs.sign_all(arr)              # (k, n)
-        rows = np.arange(self.k, dtype=np.int64)[:, None]
-        picked = self.counts[rows, buckets] * signs
-        return np.median(picked, axis=0)
+        """Count-Sketch point estimates ``median_j M[j, h_j(d)] xi_j(d)``."""
+        return self._read(values, np.median)
