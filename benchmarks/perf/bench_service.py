@@ -4,7 +4,7 @@ Drives the real asyncio HTTP server end to end — socket, HTTP/1.1
 parsing, admission control, WAL append + fsync, shard fold — with a
 handful of keep-alive client connections POSTing batched reports, then
 measures query latency against the published snapshot.  The numbers land
-in the ``service`` section of ``BENCH_perf.json`` (schema v8):
+in the ``service`` section of ``BENCH_perf.json`` (schema v10):
 
 * ``ingest_reports_per_sec`` — sustained acknowledged-report throughput
   over the whole load phase (every report durably in the WAL before its
@@ -15,13 +15,24 @@ in the ``service`` section of ``BENCH_perf.json`` (schema v8):
 * ``throttled`` — 429 responses absorbed by the generator's retry loop
   (0 under the default shape: each connection awaits its ack before the
   next batch, so at most ``connections`` batches are ever in flight);
-* ``recover_reports_per_sec`` (schema v8) — cold-restart throughput: a
+* ``recover_reports_per_sec`` (schema v8) — in-process recovery throughput: a
   fresh in-process :class:`AggregationService` ``start()`` over the data
   directory the load phase just left (WAL scan, checkpoint loads,
   re-fold of the suffix past them), reports in the WAL per second of
   wall-clock, median of ``RECOVER_REPEATS`` restarts.  CI's
   ``--min-recover`` floor reads it; ``recover_p50_ms`` is the restart
   time itself;
+* ``cold_start_cpu_ms`` / ``cold_start_wall_ms`` (schema v10) — the
+  ``cold_start`` row: a real process restart, ``python -m repro.service``
+  launched over the same data directory, median of
+  ``COLD_START_LAUNCHES`` launches.  CPU is the process's utime + stime
+  (``/proc/<pid>/stat``) and wall time runs from spawn, both until
+  ``GET /readyz`` first answers 200, so they contain interpreter start,
+  imports, the recovery ``recover_p50_ms`` times in process, and the
+  boot publish.  The launches pin ``REPRO_BACKEND=numpy``, so the
+  numpy and numba CI legs time the same server (a numba-backend server
+  would also pay numba's import and kernel-cache load).  CI's
+  ``--max-cold-start-cpu-ms`` ceiling reads the CPU;
 * ``quorum_ingest_reports_per_sec`` (schema v6) — the same acknowledged
   throughput through a primary/standby pair in ``ack_mode=quorum``:
   every ack now additionally waits for the standby to apply the shipped
@@ -46,7 +57,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import http.client
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -54,6 +69,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+import repro
 from repro.service import (
     AggregationService,
     HttpReplica,
@@ -103,6 +119,9 @@ SERVICE_SEED = 20240101
 
 #: Cold restarts timed over the ingest leg's data directory.
 RECOVER_REPEATS = 5
+
+#: ``python -m repro.service`` launches timed over the same directory.
+COLD_START_LAUNCHES = 5
 
 
 class _Client:
@@ -223,6 +242,90 @@ def _measure_recovery(config: ServiceConfig, reports: int) -> dict:
     }
 
 
+def _process_cpu_ms(pid: int) -> float:
+    """utime + stime of process ``pid`` so far, milliseconds."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    fields = stat.rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) * 1e3 / os.sysconf("SC_CLK_TCK")
+
+
+def _ready(host: str, port: int) -> bool:
+    """Whether ``GET /readyz`` answers 200 (False while it cannot connect)."""
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.request("GET", "/readyz")
+        return connection.getresponse().status == 200
+    except OSError:
+        return False
+    finally:
+        connection.close()
+
+
+def _measure_cold_start(config: ServiceConfig) -> dict:
+    """Launch ``python -m repro.service`` over ``config.data_dir`` and time it.
+
+    Each launch is SIGKILLed once ``/readyz`` answers, so it leaves the
+    directory as it found it (no shutdown flush) and every launch
+    recovers identical bytes.  Returns the medians of process CPU and of
+    wall-clock from spawn to ready.
+    """
+    command = [
+        sys.executable,
+        "-m",
+        "repro.service",
+        "--data-dir",
+        str(config.data_dir),
+        "--port",
+        "0",
+        "--shards",
+        str(config.num_shards),
+        "--k",
+        str(config.k),
+        "--m",
+        str(config.m),
+        "--epsilon",
+        str(config.epsilon),
+        "--seed",
+        str(config.seed),
+        "--checkpoint-interval",
+        str(config.checkpoint_interval),
+        "--wal-fsync",
+        config.wal_fsync,
+    ]
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, REPRO_BACKEND="numpy")
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    cpu_ms: List[float] = []
+    wall_ms: List[float] = []
+    for _ in range(COLD_START_LAUNCHES):
+        start = time.perf_counter()
+        process = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env
+        )
+        try:
+            line = process.stdout.readline().decode("utf-8", "replace").split()
+            if line[:1] != ["LISTENING"]:
+                raise RuntimeError(f"service did not start: {line!r}")
+            host, port = line[1], int(line[2])
+            while not _ready(host, port):
+                if time.perf_counter() - start > 120:
+                    raise RuntimeError("service never became ready")
+                time.sleep(0.002)
+            wall_ms.append((time.perf_counter() - start) * 1e3)
+            cpu_ms.append(_process_cpu_ms(process.pid))
+        finally:
+            process.kill()
+            process.wait()
+            process.stdout.close()
+    return {
+        "cold_start_launches": COLD_START_LAUNCHES,
+        "cold_start_cpu_ms": float(np.median(cpu_ms)),
+        "cold_start_wall_ms": float(np.median(wall_ms)),
+    }
+
+
 async def _run(total_reports: int, queries: int, data_dir: Path) -> dict:
     config = ServiceConfig(
         data_dir=data_dir,
@@ -278,6 +381,7 @@ async def _run(total_reports: int, queries: int, data_dir: Path) -> dict:
     finally:
         await server.shutdown()
     recovery = _measure_recovery(config, total_reports)
+    recovery.update(_measure_cold_start(config))
 
     ingest = np.asarray(ingest_ms)
     query = np.asarray(query_ms)
@@ -515,9 +619,14 @@ def main(argv=None) -> int:
         f"{section['query_p50_ms']:.2f}ms, p99 {section['query_p99_ms']:.2f}ms"
     )
     print(
-        f"[bench] cold restart {section['recover_reports_per_sec']:,.0f} "
+        f"[bench] in-process recovery {section['recover_reports_per_sec']:,.0f} "
         f"reports/s ({section['recover_p50_ms']:.1f}ms to recover "
         f"{section['n']:,} reports)"
+    )
+    print(
+        f"[bench] process cold start {section['cold_start_cpu_ms']:.0f}ms CPU, "
+        f"{section['cold_start_wall_ms']:.0f}ms wall until /readyz (median of "
+        f"{section['cold_start_launches']} launches)"
     )
     print(
         f"[bench] quorum-ack ingest "

@@ -53,9 +53,13 @@ every PR has a perf baseline to beat:
   shape against a service running with ``epoch_interval`` set, then a
   burst of ``GET /v1/estimate?window=W`` sliding-window queries, with
   ``window_estimates_per_sec`` read by ``--min-window-estimate``.
-  Schema v8 adds the cold restart: fresh in-process ``start()`` calls
+  Schema v8 adds the in-process recovery: fresh ``start()`` calls
   over the ingest leg's data directory, with
-  ``recover_reports_per_sec`` read by ``--min-recover``.
+  ``recover_reports_per_sec`` read by ``--min-recover``.  Schema v10
+  adds the ``cold_start`` row: real ``python -m repro.service``
+  launches over that directory, process CPU and wall time until
+  ``/readyz`` answers, with ``cold_start_cpu_ms`` read by
+  ``--max-cold-start-cpu-ms``.
 * ``baselines`` (schema v9) — the all-rows hash paths: Fast-AGMS
   ``update_batch`` throughput (values/sec) on a ``zipf-1.5`` stream and
   on an all-distinct stream of ``n`` values (hashing runs once per
@@ -102,7 +106,7 @@ from repro.hashing.kwise import MERSENNE_PRIME_31
 from repro.rng import derive_seed, ensure_rng
 from repro.sketches import FastAGMSSketch
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 #: Shard count of the ``distributed`` section (one tree of depth 3).
 DISTRIBUTED_SHARDS = 8
@@ -749,6 +753,9 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
         "wal_bytes",
         "recover_p50_ms",
         "recover_reports_per_sec",
+        "cold_start_launches",
+        "cold_start_cpu_ms",
+        "cold_start_wall_ms",
         "quorum_n",
         "quorum_replicas",
         "quorum_throttled",

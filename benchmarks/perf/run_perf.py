@@ -130,6 +130,16 @@ def main(argv=None) -> int:
         "directory the ingest leg left behind",
     )
     parser.add_argument(
+        "--max-cold-start-cpu-ms",
+        type=float,
+        default=None,
+        metavar="MS",
+        help="with --validate: fail unless a real `python -m repro.service` "
+        "restart over the ingest leg's data directory used at most MS "
+        "milliseconds of process CPU before /readyz answered (median of "
+        "the cold_start launches)",
+    )
+    parser.add_argument(
         "--min-fagms-update",
         type=float,
         default=None,
@@ -156,6 +166,7 @@ def main(argv=None) -> int:
             ("--min-quorum-ingest", args.min_quorum_ingest is not None),
             ("--min-window-estimate", args.min_window_estimate is not None),
             ("--min-recover", args.min_recover is not None),
+            ("--max-cold-start-cpu-ms", args.max_cold_start_cpu_ms is not None),
             ("--min-fagms-update", args.min_fagms_update is not None),
         ):
             if given:
@@ -300,16 +311,30 @@ def main(argv=None) -> int:
             service = payload["sections"]["service"]
             if service["recover_reports_per_sec"] < args.min_recover:
                 print(
-                    f"[fail] cold restart at "
+                    f"[fail] in-process recovery at "
                     f"{service['recover_reports_per_sec']:,.0f} reports/s — "
                     f"below the {args.min_recover:,.0f}/s floor"
                 )
                 return 1
             print(
-                f"[ok] cold restart at "
+                f"[ok] in-process recovery at "
                 f"{service['recover_reports_per_sec']:,.0f} reports/s "
                 f"({service['recover_p50_ms']:.1f}ms for {service['n']:,.0f} "
                 f"reports)"
+            )
+        if args.max_cold_start_cpu_ms is not None:
+            service = payload["sections"]["service"]
+            if service["cold_start_cpu_ms"] > args.max_cold_start_cpu_ms:
+                print(
+                    f"[fail] process cold start used "
+                    f"{service['cold_start_cpu_ms']:.0f}ms CPU — above the "
+                    f"{args.max_cold_start_cpu_ms:.0f}ms ceiling"
+                )
+                return 1
+            print(
+                f"[ok] process cold start {service['cold_start_cpu_ms']:.0f}ms "
+                f"CPU, {service['cold_start_wall_ms']:.0f}ms wall until /readyz "
+                f"(in-process recovery {service['recover_p50_ms']:.1f}ms of it)"
             )
         if args.min_fagms_update is not None:
             baselines = payload["sections"]["baselines"]
@@ -388,7 +413,9 @@ def main(argv=None) -> int:
         f"(ack p50 {service['ingest_p50_ms']:.2f}ms / p99 "
         f"{service['ingest_p99_ms']:.2f}ms), query p50 "
         f"{service['query_p50_ms']:.2f}ms / p99 {service['query_p99_ms']:.2f}ms, "
-        f"cold restart {service['recover_reports_per_sec']:,.0f} reports/s"
+        f"in-process recovery {service['recover_reports_per_sec']:,.0f} reports/s, "
+        f"process cold start {service['cold_start_cpu_ms']:.0f}ms CPU / "
+        f"{service['cold_start_wall_ms']:.0f}ms wall"
     )
     print(
         f"[bench] quorum-ack ingest (1 standby, n={service['quorum_n']:.0f}): "

@@ -46,97 +46,63 @@ or, by registry name::
     instance = ZipfGenerator(4096, alpha=1.4).make_join_instance(100_000, rng=1)
     result = get_estimator("ldpjs+").estimate(instance, epsilon=4.0, seed=7)
     print(result.estimate, result.uplink_bits)
+
+Exports are lazy (PEP 562, :mod:`repro._lazy`): ``import repro`` loads
+no numpy, and each name above imports its submodule when first read, so
+a process loads only what it uses (``python -m repro.service`` never
+loads the estimator, sweep or data stack).
 """
 
+from ._lazy import lazy_exports
 from ._version import __version__
-from .errors import (
-    BackendUnavailableError,
-    DataGenerationError,
-    DomainError,
-    IncompatibleSketchError,
-    ParameterError,
-    ProtocolError,
-    ReproError,
-    UnknownEstimatorError,
-)
-from .backend import (
-    Backend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
-from .api import (
-    EstimateResult,
-    JoinSession,
-    available_estimators,
-    get_estimator,
-    register,
-)
-from .core import (
-    JoinEstimate,
-    LDPCompassProtocol,
-    LDPJoinSketch,
-    LDPJoinSketchPlus,
-    PlusEstimate,
-    ReportBatch,
-    SketchParams,
-    build_sketch,
-    encode_report,
-    encode_reports,
-    encode_reports_into,
-    estimate_join_size,
-    fap_encode_report,
-    fap_encode_reports,
-    find_frequent_items,
-    run_ldp_join_sketch,
-    run_ldp_join_sketch_plus,
-)
-from .join import FrequencyVector, exact_join_size, exact_multiway_chain_size
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "ParameterError",
-    "DomainError",
-    "IncompatibleSketchError",
-    "ProtocolError",
-    "DataGenerationError",
-    "UnknownEstimatorError",
-    "BackendUnavailableError",
-    # compute backends
-    "Backend",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    # unified API
-    "EstimateResult",
-    "JoinSession",
-    "get_estimator",
-    "available_estimators",
-    "register",
-    # core protocol
-    "SketchParams",
-    "ReportBatch",
-    "encode_report",
-    "encode_reports",
-    "encode_reports_into",
-    "LDPJoinSketch",
-    "build_sketch",
-    "estimate_join_size",
-    "find_frequent_items",
-    "fap_encode_report",
-    "fap_encode_reports",
-    "LDPJoinSketchPlus",
-    "PlusEstimate",
-    "LDPCompassProtocol",
-    "JoinEstimate",
-    "run_ldp_join_sketch",
-    "run_ldp_join_sketch_plus",
-    # ground truth
-    "FrequencyVector",
-    "exact_join_size",
-    "exact_multiway_chain_size",
-]
+_EXPORTS, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".errors": (
+            "ReproError",
+            "ParameterError",
+            "DomainError",
+            "IncompatibleSketchError",
+            "ProtocolError",
+            "DataGenerationError",
+            "UnknownEstimatorError",
+            "BackendUnavailableError",
+        ),
+        ".backend": (
+            "Backend",
+            "available_backends",
+            "get_backend",
+            "set_backend",
+            "use_backend",
+        ),
+        ".api": (
+            "EstimateResult",
+            "JoinSession",
+            "get_estimator",
+            "available_estimators",
+            "register",
+        ),
+        ".core": (
+            "SketchParams",
+            "ReportBatch",
+            "encode_report",
+            "encode_reports",
+            "encode_reports_into",
+            "LDPJoinSketch",
+            "build_sketch",
+            "estimate_join_size",
+            "find_frequent_items",
+            "fap_encode_report",
+            "fap_encode_reports",
+            "LDPJoinSketchPlus",
+            "PlusEstimate",
+            "LDPCompassProtocol",
+            "JoinEstimate",
+            "run_ldp_join_sketch",
+            "run_ldp_join_sketch_plus",
+        ),
+        ".join": ("FrequencyVector", "exact_join_size", "exact_multiway_chain_size"),
+    },
+)
+__all__ = ["__version__", *_EXPORTS]

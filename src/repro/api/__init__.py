@@ -27,53 +27,43 @@ Quickstart::
 
     est = get_estimator("ldpjs+", k=18, m=1024)
     print(est.estimate(instance, epsilon=4.0, seed=7).estimate)
+
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read.
 """
 
-from .result import EstimateResult
-from .registry import (
-    JoinEstimator,
-    available_estimators,
-    get_estimator,
-    register,
-    resolve_estimator,
-)
-from .session import JoinSession
+from .._lazy import lazy_exports
 
 # The concrete estimator classes live in .estimators, which imports the
 # core protocol modules; those in turn import .result for the unified
-# result type.  Loading .estimators lazily (PEP 562) keeps that cycle
-# open — the registry itself pulls the module in on first lookup.
-_ESTIMATOR_EXPORTS = (
-    "BaseEstimator",
-    "FAGMSEstimator",
-    "KRREstimator",
-    "FLHEstimator",
-    "HCMSEstimator",
-    "OLHEstimator",
-    "LDPJoinSketchEstimator",
-    "LDPJoinSketchPlusEstimator",
-    "CompassEstimator",
-    "run_join_sketch",
-    "run_join_sketch_trials",
-    "run_join_sketch_trial_group",
-    "run_join_sketch_plus",
+# result type.  Lazy exports keep that cycle open — the registry itself
+# pulls .estimators in on first lookup.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".result": ("EstimateResult",),
+        ".registry": (
+            "JoinEstimator",
+            "register",
+            "get_estimator",
+            "available_estimators",
+            "resolve_estimator",
+        ),
+        ".session": ("JoinSession",),
+        ".estimators": (
+            "BaseEstimator",
+            "FAGMSEstimator",
+            "KRREstimator",
+            "FLHEstimator",
+            "HCMSEstimator",
+            "OLHEstimator",
+            "LDPJoinSketchEstimator",
+            "LDPJoinSketchPlusEstimator",
+            "CompassEstimator",
+            "run_join_sketch",
+            "run_join_sketch_trials",
+            "run_join_sketch_trial_group",
+            "run_join_sketch_plus",
+        ),
+    },
 )
-
-__all__ = [
-    "EstimateResult",
-    "JoinEstimator",
-    "register",
-    "get_estimator",
-    "available_estimators",
-    "resolve_estimator",
-    "JoinSession",
-    *_ESTIMATOR_EXPORTS,
-]
-
-
-def __getattr__(name: str):
-    if name in _ESTIMATOR_EXPORTS:
-        from . import estimators
-
-        return getattr(estimators, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,16 +52,10 @@ from ..core.client import (
     ReportBatch,
     encode_reports_into,
 )
-from ..core.multiway import (
-    LDPCompassProtocol,
-    LDPMiddleSketch,
-    MiddleReportBatch,
-    finalize_middle_counts,
-)
 from ..core.params import SketchParams
 from ..core.server import LDPJoinSketch
 from ..errors import IncompatibleSketchError, ParameterError, ProtocolError
-from ..hashing import HashPairs
+from ..hashing import HashPairs, attribute_pairs
 from ..privacy.budget import BudgetLedger
 from ..reliability.faults import fault_point
 from ..rng import RandomState, ensure_rng
@@ -69,7 +63,20 @@ from ..serialization import decode_array, encode_array
 from ..transform.hadamard import fwht_inplace
 from .result import EstimateResult
 
+if TYPE_CHECKING:
+    # Chain (Section VI) types: the module itself loads on the first
+    # middle-table collect or chain query, not with every session.
+    from ..core.multiway import LDPCompassProtocol, LDPMiddleSketch, MiddleReportBatch
+
 __all__ = ["JoinSession"]
+
+
+def _multiway():
+    """:mod:`repro.core.multiway`, imported by the first middle-table use."""
+    from ..core import multiway
+
+    return multiway
+
 
 #: Process-wide counter giving each session a unique label for ledger groups.
 _SESSION_IDS = itertools.count(1)
@@ -158,22 +165,14 @@ class JoinSession:
             resolve_backend(backend)
         self.backend = backend
         self._rng = ensure_rng(seed)
-        # The protocol owns (and validates) the pairs: shared ones must
-        # match params.k and any declared widths; fresh ones are drawn
-        # per attribute from the session generator.
-        if pairs is not None:
-            self._protocol = LDPCompassProtocol(
-                () if attribute_widths is None else list(attribute_widths),
-                params.k,
-                params.epsilon,
-                pairs=list(pairs),
-            )
-        else:
-            widths = [params.m] if attribute_widths is None else list(attribute_widths)
-            self._protocol = LDPCompassProtocol(
-                widths, params.k, params.epsilon, seed=self._rng
-            )
-        self._pairs: List[HashPairs] = self._protocol.attribute_pairs
+        # Shared pairs must match params.k and any declared widths; fresh
+        # ones are drawn per attribute from the session generator.
+        widths = attribute_widths
+        if widths is None and pairs is None:
+            widths = [params.m]
+        self._pairs: List[HashPairs] = attribute_pairs(
+            params.k, widths or (), self._rng, pairs=pairs
+        )
         self._streams: Dict[str, _StreamState] = {}
         self.ledger = BudgetLedger()
         self.offline_seconds = 0.0
@@ -337,7 +336,7 @@ class JoinSession:
         state = self._middle_state(stream, left_attribute)
         left_pairs = self._pairs[state.left_attribute]
         right_pairs = self._pairs[state.left_attribute + 1]
-        if isinstance(left_values, MiddleReportBatch):
+        if isinstance(left_values, _multiway().MiddleReportBatch):
             if right_values is not None:
                 raise ParameterError(
                     "pass either a MiddleReportBatch or two value columns, not both"
@@ -357,7 +356,7 @@ class JoinSession:
                 raise ParameterError("middle-table collection needs both value columns")
             rng = self._rng if seed is None else ensure_rng(seed)
             with use_backend(self.backend):
-                batch = self._protocol.encode_middle(
+                batch = self._chain_protocol().encode_middle(
                     state.left_attribute, left_values, right_values, rng
                 )
         if len(batch):
@@ -611,6 +610,10 @@ class JoinSession:
             )
         return state.cached
 
+    def _chain_protocol(self) -> LDPCompassProtocol:
+        """The Section VI chain protocol over this session's pairs."""
+        return _multiway().LDPCompassProtocol.from_pairs(self._pairs, self.params.epsilon)
+
     def middle_sketch(self, stream: str) -> LDPMiddleSketch:
         """The constructed :class:`LDPMiddleSketch` of a middle stream."""
         state = self._state(stream)
@@ -622,8 +625,8 @@ class JoinSession:
             scaled = state.raw.astype(np.float64)
             scaled *= self.params.scale
             with use_backend(self.backend):
-                counts = finalize_middle_counts(scaled)
-            state.cached = LDPMiddleSketch(
+                counts = _multiway().finalize_middle_counts(scaled)
+            state.cached = _multiway().LDPMiddleSketch(
                 self._pairs[state.left_attribute],
                 self._pairs[state.left_attribute + 1],
                 counts,
@@ -727,7 +730,7 @@ class JoinSession:
         last = self.sketch(names[-1])
         middles = [self.middle_sketch(name) for name in middle_names]
         start = time.perf_counter()
-        estimate = self._protocol.estimate_chain(first, middles, last)
+        estimate = self._chain_protocol().estimate_chain(first, middles, last)
         online = time.perf_counter() - start
         states = [self._state(name) for name in names]
         return EstimateResult(

@@ -21,60 +21,41 @@ Public surface:
   deprecated one-call shims over the unified API in :mod:`repro.api`
   (``JoinEstimate`` / ``PlusEstimate`` are aliases of
   :class:`~repro.api.EstimateResult`).
+
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read, so the online service loads the client and server
+halves without the estimator, FAP and multiway modules.
 """
 
-from .params import SketchParams
-from .client import (
-    DEFAULT_CHUNK_SIZE,
-    PackedReports,
-    ReportBatch,
-    encode_report,
-    encode_reports,
-    encode_reports_grouped_into,
-    encode_reports_into,
-    encode_reports_packed,
-    encode_reports_trials_into,
-    packed_report_dtype,
-)
-from .server import LDPJoinSketch, build_sketch
-from .aggregator import LDPJoinSketchAggregator
-from .estimator import estimate_join_size, find_frequent_items
-from .fap import fap_encode_report, fap_encode_reports
-from .plus import LDPJoinSketchPlus, PlusEstimate
-from .multiway import (
-    LDPCompassProtocol,
-    LDPMiddleSketch,
-    MiddleReportBatch,
-    finalize_middle_counts,
-)
-from .protocol import JoinEstimate, run_ldp_join_sketch, run_ldp_join_sketch_plus
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SketchParams",
-    "ReportBatch",
-    "PackedReports",
-    "packed_report_dtype",
-    "encode_report",
-    "encode_reports",
-    "encode_reports_into",
-    "encode_reports_packed",
-    "encode_reports_trials_into",
-    "encode_reports_grouped_into",
-    "DEFAULT_CHUNK_SIZE",
-    "LDPJoinSketch",
-    "build_sketch",
-    "LDPJoinSketchAggregator",
-    "estimate_join_size",
-    "find_frequent_items",
-    "fap_encode_report",
-    "fap_encode_reports",
-    "LDPJoinSketchPlus",
-    "PlusEstimate",
-    "LDPCompassProtocol",
-    "LDPMiddleSketch",
-    "MiddleReportBatch",
-    "finalize_middle_counts",
-    "JoinEstimate",
-    "run_ldp_join_sketch",
-    "run_ldp_join_sketch_plus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".params": ("SketchParams",),
+        ".client": (
+            "ReportBatch",
+            "PackedReports",
+            "packed_report_dtype",
+            "encode_report",
+            "encode_reports",
+            "encode_reports_into",
+            "encode_reports_packed",
+            "encode_reports_trials_into",
+            "encode_reports_grouped_into",
+            "DEFAULT_CHUNK_SIZE",
+        ),
+        ".server": ("LDPJoinSketch", "build_sketch"),
+        ".aggregator": ("LDPJoinSketchAggregator",),
+        ".estimator": ("estimate_join_size", "find_frequent_items"),
+        ".fap": ("fap_encode_report", "fap_encode_reports"),
+        ".plus": ("LDPJoinSketchPlus", "PlusEstimate"),
+        ".multiway": (
+            "LDPCompassProtocol",
+            "LDPMiddleSketch",
+            "MiddleReportBatch",
+            "finalize_middle_counts",
+        ),
+        ".protocol": ("JoinEstimate", "run_ldp_join_sketch", "run_ldp_join_sketch_plus"),
+    },
+)

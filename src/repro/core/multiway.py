@@ -37,15 +37,14 @@ from ..errors import (
     ParameterError,
     require_merge_compatible,
 )
-from ..hashing import HashPairs
+from ..hashing import HashPairs, attribute_pairs
 from ..privacy.response import c_epsilon, flip_probability
-from ..rng import RandomState, ensure_rng, spawn
+from ..rng import RandomState, ensure_rng
 from ..transform.hadamard import fwht_inplace, sample_hadamard_entries
 from ..validation import (
     as_value_array,
     require_positive_float,
     require_positive_int,
-    require_power_of_two,
 )
 from .client import ReportBatch, encode_reports
 from .params import SketchParams
@@ -201,28 +200,9 @@ class LDPCompassProtocol:
     ) -> None:
         self.k = require_positive_int("k", k)
         self.epsilon = require_positive_float("epsilon", epsilon)
-        if pairs is not None:
-            pairs = list(pairs)
-            if not pairs:
-                raise ParameterError("need at least one join attribute")
-            for p in pairs:
-                if p.k != self.k:
-                    raise ParameterError(
-                        f"shared hash pairs must have k={self.k}, got {p.k}"
-                    )
-            if attribute_widths and [p.m for p in pairs] != list(attribute_widths):
-                raise ParameterError(
-                    "attribute_widths do not match the provided hash pairs"
-                )
-            self.attribute_pairs: List[HashPairs] = pairs
-            return
-        if not attribute_widths:
-            raise ParameterError("need at least one join attribute")
-        rng = ensure_rng(seed)
-        self.attribute_pairs = [
-            HashPairs(self.k, require_power_of_two("m", m), spawn(rng))
-            for m in attribute_widths
-        ]
+        self.attribute_pairs: List[HashPairs] = attribute_pairs(
+            self.k, attribute_widths, seed, pairs=pairs
+        )
 
     @classmethod
     def from_pairs(

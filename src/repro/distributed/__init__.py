@@ -34,43 +34,34 @@ rescaling by the planner's client coverage and recording
 ``shards_lost`` / ``coverage`` / ``bound_factor`` in the result; wire
 payloads carry a crc32 content checksum (version 2) so bit flips and
 truncation are rejected with typed errors.
+
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read, so the online service's checkpoints load without the
+planner and the sharded estimator drivers.
 """
 
-from .checkpoint import ShardCheckpoint, ingest_with_checkpoint
-from .collectors import (
-    ShardRun,
-    estimate_sharded,
-    pool_shardable,
-    prepare_shard_run,
-    shardable_single_round,
-)
-from .merge import merge_sequential, merge_tree
-from .partial import (
-    PARTIAL_FORMAT,
-    PARTIAL_MIN_VERSION,
-    PARTIAL_VERSION,
-    PartialAggregate,
-    content_checksum,
-    fingerprint_digest,
-)
-from .planner import SHARD_STRATEGIES, ShardPlanner
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ShardPlanner",
-    "SHARD_STRATEGIES",
-    "PartialAggregate",
-    "PARTIAL_FORMAT",
-    "PARTIAL_VERSION",
-    "PARTIAL_MIN_VERSION",
-    "fingerprint_digest",
-    "content_checksum",
-    "merge_tree",
-    "merge_sequential",
-    "ShardCheckpoint",
-    "ingest_with_checkpoint",
-    "ShardRun",
-    "estimate_sharded",
-    "pool_shardable",
-    "prepare_shard_run",
-    "shardable_single_round",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".planner": ("ShardPlanner", "SHARD_STRATEGIES"),
+        ".partial": (
+            "PartialAggregate",
+            "PARTIAL_FORMAT",
+            "PARTIAL_VERSION",
+            "PARTIAL_MIN_VERSION",
+            "fingerprint_digest",
+            "content_checksum",
+        ),
+        ".merge": ("merge_tree", "merge_sequential"),
+        ".checkpoint": ("ShardCheckpoint", "ingest_with_checkpoint"),
+        ".collectors": (
+            "ShardRun",
+            "estimate_sharded",
+            "pool_shardable",
+            "prepare_shard_run",
+            "shardable_single_round",
+        ),
+    },
+)

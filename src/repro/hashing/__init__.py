@@ -16,12 +16,13 @@ Both are built from polynomial hashing over the Mersenne prime ``2^31 - 1``
 
 from .kwise import MERSENNE_PRIME_31, KWiseHash
 from .sign import SignHash
-from .pairs import HashPairs, stack_pair_coefficients
+from .pairs import HashPairs, attribute_pairs, stack_pair_coefficients
 
 __all__ = [
     "MERSENNE_PRIME_31",
     "KWiseHash",
     "SignHash",
     "HashPairs",
+    "attribute_pairs",
     "stack_pair_coefficients",
 ]

@@ -12,17 +12,17 @@ verify compatibility before combining.
 from __future__ import annotations
 
 import functools
-from typing import List
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ParameterError
-from ..rng import RandomState, ensure_rng, spawn_many
-from ..validation import require_positive_int
+from ..rng import RandomState, ensure_rng, spawn, spawn_many
+from ..validation import require_positive_int, require_power_of_two
 from .kwise import KWiseHash, check_domain, polyval_all, polyval_rows, reduce_mod_m
 from .sign import SignHash
 
-__all__ = ["HashPairs", "stack_pair_coefficients"]
+__all__ = ["HashPairs", "attribute_pairs", "stack_pair_coefficients"]
 
 
 def _stack_coefficients(hashes) -> "np.ndarray | None":
@@ -295,3 +295,33 @@ class HashPairs:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"HashPairs(k={self.k}, m={self.m})"
+
+
+def attribute_pairs(
+    k: int,
+    attribute_widths: Sequence[int],
+    seed: RandomState = None,
+    *,
+    pairs: Optional[Sequence[HashPairs]] = None,
+) -> List[HashPairs]:
+    """One :class:`HashPairs` per join attribute of a chain schema.
+
+    Shared ``pairs`` are checked against ``k`` (and ``attribute_widths``
+    when given) and returned as a list; otherwise one pair family of
+    width ``m`` is drawn per entry of ``attribute_widths`` (each a power
+    of two), from a child generator of ``seed``.
+    """
+    if pairs is not None:
+        pairs = list(pairs)
+        if not pairs:
+            raise ParameterError("need at least one join attribute")
+        for p in pairs:
+            if p.k != k:
+                raise ParameterError(f"shared hash pairs must have k={k}, got {p.k}")
+        if attribute_widths and [p.m for p in pairs] != list(attribute_widths):
+            raise ParameterError("attribute_widths do not match the provided hash pairs")
+        return pairs
+    if not attribute_widths:
+        raise ParameterError("need at least one join attribute")
+    rng = ensure_rng(seed)
+    return [HashPairs(k, require_power_of_two("m", m), spawn(rng)) for m in attribute_widths]

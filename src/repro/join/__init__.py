@@ -1,17 +1,20 @@
-"""Exact join-size substrate: frequency vectors and ground-truth joins."""
+"""Exact join-size substrate: frequency vectors and ground-truth joins.
 
-from .frequency import FrequencyVector
-from .exact import (
-    exact_cyclic_join_size,
-    exact_join_size,
-    exact_multiway_chain_size,
-    exact_self_join_size,
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read.
+"""
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".frequency": ("FrequencyVector",),
+        ".exact": (
+            "exact_join_size",
+            "exact_multiway_chain_size",
+            "exact_cyclic_join_size",
+            "exact_self_join_size",
+        ),
+    },
 )
-
-__all__ = [
-    "FrequencyVector",
-    "exact_join_size",
-    "exact_multiway_chain_size",
-    "exact_cyclic_join_size",
-    "exact_self_join_size",
-]

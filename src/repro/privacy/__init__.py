@@ -1,26 +1,23 @@
-"""Privacy substrate: randomized-response primitives, budgets, LDP audits."""
+"""Privacy substrate: randomized-response primitives, budgets, LDP audits.
 
-from .response import (
-    c_epsilon,
-    flip_probability,
-    grr_probabilities,
-    grr_perturb,
-    keep_probability,
-    random_signs,
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read.
+"""
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".response": (
+            "c_epsilon",
+            "flip_probability",
+            "keep_probability",
+            "random_signs",
+            "grr_probabilities",
+            "grr_perturb",
+        ),
+        ".budget": ("PrivacySpec", "BudgetLedger", "ContinualLedger"),
+        ".audit": ("max_privacy_ratio", "verify_ldp"),
+    },
 )
-from .budget import BudgetLedger, ContinualLedger, PrivacySpec
-from .audit import max_privacy_ratio, verify_ldp
-
-__all__ = [
-    "c_epsilon",
-    "flip_probability",
-    "keep_probability",
-    "random_signs",
-    "grr_probabilities",
-    "grr_perturb",
-    "PrivacySpec",
-    "BudgetLedger",
-    "ContinualLedger",
-    "max_privacy_ratio",
-    "verify_ldp",
-]

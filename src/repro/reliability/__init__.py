@@ -16,53 +16,38 @@ Three pieces, used together by the distributed and sweep tiers:
 The headline contract, property-tested in the chaos suite: for any
 fault schedule a retry budget can absorb, the final merged estimate is
 byte-identical to the fault-free run.
+
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read.
 """
 
-from ..errors import (
-    CheckpointCorruptError,
-    InjectedCrashError,
-    InjectedFaultError,
-    PartialIntegrityError,
-    RetryExhaustedError,
-    ShardLostError,
-    SweepWorkerLostError,
-)
-from .faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    active_plan,
-    arm,
-    attempt_scope,
-    current_attempt,
-    disarm,
-    fault_point,
-    injected,
-)
-from .retry import DEFAULT_RETRYABLE, AttemptRecord, RetryPolicy
+from .._lazy import lazy_exports
 
-__all__ = [
-    # faults
-    "FAULT_KINDS",
-    "FaultSpec",
-    "FaultPlan",
-    "fault_point",
-    "arm",
-    "disarm",
-    "injected",
-    "active_plan",
-    "attempt_scope",
-    "current_attempt",
-    # retry
-    "RetryPolicy",
-    "AttemptRecord",
-    "DEFAULT_RETRYABLE",
-    # typed errors (re-exported from repro.errors)
-    "InjectedFaultError",
-    "InjectedCrashError",
-    "RetryExhaustedError",
-    "ShardLostError",
-    "SweepWorkerLostError",
-    "CheckpointCorruptError",
-    "PartialIntegrityError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".faults": (
+            "FAULT_KINDS",
+            "FaultSpec",
+            "FaultPlan",
+            "fault_point",
+            "arm",
+            "disarm",
+            "injected",
+            "active_plan",
+            "attempt_scope",
+            "current_attempt",
+        ),
+        ".retry": ("RetryPolicy", "AttemptRecord", "DEFAULT_RETRYABLE"),
+        # typed errors (re-exported from repro.errors)
+        "..errors": (
+            "InjectedFaultError",
+            "InjectedCrashError",
+            "RetryExhaustedError",
+            "ShardLostError",
+            "SweepWorkerLostError",
+            "CheckpointCorruptError",
+            "PartialIntegrityError",
+        ),
+    },
+)

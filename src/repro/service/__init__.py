@@ -26,38 +26,27 @@ machinery — into a long-running, *replicated* HTTP collector:
 
 Run one with ``repro-experiments serve`` or ``python -m repro.service``
 (``--role standby`` + ``--replica host:port`` wire up a group).
+
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read, so a server process never loads the client.
 """
 
-from .client import CircuitBreaker, ResilientClient
-from .core import AggregationService, ServiceConfig, Snapshot, batch_seed
-from .replication import (
-    ACK_MODES,
-    REPLICATION_FAULT_POINTS,
-    HttpReplica,
-    LocalReplica,
-    ReplicaLink,
-    ReplicatedService,
-)
-from .server import ServerConfig, ServiceServer, run_server
-from .wal import FSYNC_POLICIES, WalTear, WriteAheadLog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AggregationService",
-    "ServiceConfig",
-    "Snapshot",
-    "batch_seed",
-    "ReplicatedService",
-    "ReplicaLink",
-    "LocalReplica",
-    "HttpReplica",
-    "ACK_MODES",
-    "REPLICATION_FAULT_POINTS",
-    "ResilientClient",
-    "CircuitBreaker",
-    "ServerConfig",
-    "ServiceServer",
-    "run_server",
-    "WriteAheadLog",
-    "WalTear",
-    "FSYNC_POLICIES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": ("AggregationService", "ServiceConfig", "Snapshot", "batch_seed"),
+        ".replication": (
+            "ReplicatedService",
+            "ReplicaLink",
+            "LocalReplica",
+            "HttpReplica",
+            "ACK_MODES",
+            "REPLICATION_FAULT_POINTS",
+        ),
+        ".client": ("ResilientClient", "CircuitBreaker"),
+        ".server": ("ServerConfig", "ServiceServer", "run_server"),
+        ".wal": ("WriteAheadLog", "WalTear", "FSYNC_POLICIES"),
+    },
+)

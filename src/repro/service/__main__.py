@@ -4,9 +4,18 @@ Prints ``LISTENING <host> <port>`` (flushed) once the socket is bound,
 so supervisors and tests can connect without racing the bind, and exits
 gracefully (drain → flush → publish) on SIGTERM/SIGINT.  The
 ``repro-experiments serve`` subcommand forwards here.
+
+The server starts no BLAS thread pool: it never calls a BLAS routine
+(its numpy work is bincount, hashing and the FWHT, all on its one
+executor thread), so ``OPENBLAS_NUM_THREADS`` defaults to ``1`` before
+numpy is first imported.  A value set in the environment still wins.
 """
 
 from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import asyncio

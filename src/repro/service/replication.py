@@ -78,7 +78,7 @@ import base64
 import binascii
 import json
 import logging
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import (
     FencedEpochError,
@@ -128,14 +128,18 @@ class ReplicaLink:
     Subclasses implement :meth:`replicate` — deliver one shipment
     payload and return the standby's response dict, raising the typed
     replication errors (or ``ConnectionError``) on rejection.  The
-    primary tracks per-link ship cursors itself, so links are stateless
-    beyond their address.
+    primary tracks per-link ship cursors itself, so links hold nothing
+    beyond their address and, for :class:`HttpReplica`, one connection
+    that :meth:`close` releases.
     """
 
     name: str = "replica"
 
     def replicate(self, payload: Mapping[str, Any]) -> dict:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release transport resources (idempotent); the default holds none."""
 
 
 class LocalReplica(ReplicaLink):
@@ -162,6 +166,12 @@ class HttpReplica(ReplicaLink):
     contract (the event loop never sees it).  Typed 409 rejections are
     reconstructed from the response's ``error_kind`` so the primary's
     protocol handling is transport-agnostic.
+
+    Frames travel over one keep-alive connection per link.  When a
+    reused connection turns out broken — the standby restarted, or
+    closed it while idle — the link reconnects and sends the frame once
+    more; a frame the standby already applied comes back as a
+    byte-checked duplicate, so the resend is safe.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float = 5.0) -> None:
@@ -169,38 +179,57 @@ class HttpReplica(ReplicaLink):
         self.port = int(port)
         self.timeout = float(timeout)
         self.name = f"{self.host}:{self.port}"
+        self._connection = None  # http.client.HTTPConnection, opened on first use
 
     def replicate(self, payload: Mapping[str, Any]) -> dict:
         import http.client
 
         body = json.dumps(dict(payload)).encode("utf-8")
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        reused = self._connection is not None
         try:
-            connection.request(
-                "POST",
-                "/v1/replicate",
-                body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            raw = response.read()
+            try:
+                status, raw = self._post(body)
+            except ConnectionError:
+                if not reused:
+                    raise
+                self.close()
+                status, raw = self._post(body)
         except (OSError, http.client.HTTPException) as error:
+            self.close()
             raise ConnectionError(
                 f"replica {self.name} unreachable: {error}"
             ) from error
-        finally:
-            connection.close()
         try:
             parsed = json.loads(raw.decode("utf-8")) if raw else {}
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise ProtocolError(
                 f"replica {self.name} returned undecodable body: {error}"
             ) from error
-        if response.status < 400:
+        if status < 400:
             return parsed
-        raise self._rejection(response.status, parsed)
+        raise self._rejection(status, parsed)
+
+    def _post(self, body: bytes) -> Tuple[int, bytes]:
+        """One request/response on the link's connection; ``(status, body)``."""
+        import http.client
+
+        if self._connection is None:
+            self._connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        self._connection.request(
+            "POST",
+            "/v1/replicate",
+            body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = self._connection.getresponse()
+        return response.status, response.read()
+
+    def close(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
     def _rejection(self, status: int, body: Mapping[str, Any]) -> Exception:
         """Rebuild the standby's typed rejection from its JSON body."""
@@ -264,6 +293,14 @@ class ReplicatedService(AggregationService):
         self.replicas: List[ReplicaLink] = list(replicas)
         self._cursors: Dict[int, int] = {}  # link index -> next sequence to ship
         self._fenced_by: Optional[int] = None  # epoch that superseded this node
+
+    def close(self) -> None:
+        """Flush, release the WAL handle, and close every replica link."""
+        try:
+            super().close()
+        finally:
+            for link in self.replicas:
+                link.close()
 
     # ------------------------------------------------------------------
     # Role / fencing

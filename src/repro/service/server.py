@@ -337,10 +337,10 @@ class ServiceServer:
                     return
                 try:
                     method, target, headers = self._parse_head(head)
+                    length = self._content_length(headers)
                 except ValueError as error:
                     await self._respond(writer, 400, {"error": str(error)})
                     return
-                length = int(headers.get("content-length", "0") or "0")
                 if length > self.config.max_body_bytes:
                     await self._respond(
                         writer,
@@ -395,6 +395,16 @@ class ServiceServer:
                 raise ValueError(f"malformed header line {line!r}")
             headers[name.strip().lower()] = value.strip()
         return parts[0].upper(), parts[1], headers
+
+    @staticmethod
+    def _content_length(headers: Mapping[str, str]) -> int:
+        """The body length: absent or empty is 0, else ASCII digits only."""
+        value = headers.get("content-length", "")
+        if not value:
+            return 0
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"malformed Content-Length {value!r}")
+        return int(value)
 
     async def _respond(
         self,

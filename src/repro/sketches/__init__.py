@@ -12,23 +12,23 @@ against:
 * :class:`CountMeanSketch` — the server-side structure of Apple's CMS/HCMS;
 * :class:`CompassChainSketches` — COMPASS-style multiway chain-join
   sketches (Section VI baseline).
+
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read, so code that needs only the shared row hashing of
+:mod:`repro.sketches.base` loads none of the sketches.
 """
 
-from .base import LinearSketch
-from .agms import AGMSSketch
-from .fast_agms import FastAGMSSketch
-from .count_min import CountMinSketch
-from .count_sketch import CountSketch
-from .count_mean import CountMeanSketch
-from .compass import CompassChainSketches, CompassMiddleSketch
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LinearSketch",
-    "AGMSSketch",
-    "FastAGMSSketch",
-    "CountMinSketch",
-    "CountSketch",
-    "CountMeanSketch",
-    "CompassChainSketches",
-    "CompassMiddleSketch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("LinearSketch",),
+        ".agms": ("AGMSSketch",),
+        ".fast_agms": ("FastAGMSSketch",),
+        ".count_min": ("CountMinSketch",),
+        ".count_sketch": ("CountSketch",),
+        ".count_mean": ("CountMeanSketch",),
+        ".compass": ("CompassChainSketches", "CompassMiddleSketch"),
+    },
+)

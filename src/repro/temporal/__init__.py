@@ -1,13 +1,16 @@
-"""Temporal estimation: epoch rings, window queries, decayed combination."""
+"""Temporal estimation: epoch rings, window queries, decayed combination.
 
-from .decay import combine_decayed, decay_weights, decayed_join_estimate
-from .ring import EpochRing
-from .session import TemporalSession
+Exports are lazy (:mod:`repro._lazy`): each name imports its submodule
+when first read.
+"""
 
-__all__ = [
-    "EpochRing",
-    "TemporalSession",
-    "combine_decayed",
-    "decay_weights",
-    "decayed_join_estimate",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".ring": ("EpochRing",),
+        ".session": ("TemporalSession",),
+        ".decay": ("combine_decayed", "decay_weights", "decayed_join_estimate"),
+    },
+)

@@ -634,6 +634,35 @@ class TestServiceServer:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("length", ["abc", "1e3", "-5"])
+    def test_malformed_content_length_is_a_400(self, tmp_path, length):
+        async def scenario():
+            server = self._server(tmp_path)
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    (
+                        f"POST /v1/report HTTP/1.1\r\nHost: {host}\r\n"
+                        f"Content-Length: {length}\r\n\r\n"
+                    ).encode()
+                )
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), 10)
+                writer.close()
+                head, _, body = response.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 ")
+                assert b"Connection: close" in head
+                assert "Content-Length" in json.loads(body)["error"]
+                # The server is unharmed and the bad request wrote nothing.
+                status, _, _ = await _request(host, port, "GET", "/healthz")
+                assert status == 200
+                assert len(server.service.wal) == 0
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())
+
     def test_backpressure_answers_429_with_retry_after(self, tmp_path):
         """A slow fold fills the per-tenant allowance; overflow gets 429."""
 
