@@ -4,7 +4,7 @@ Drives the real asyncio HTTP server end to end — socket, HTTP/1.1
 parsing, admission control, WAL append + fsync, shard fold — with a
 handful of keep-alive client connections POSTing batched reports, then
 measures query latency against the published snapshot.  The numbers land
-in the ``service`` section of ``BENCH_perf.json`` (schema v10):
+in the ``service`` section of ``BENCH_perf.json`` (schema v11):
 
 * ``ingest_reports_per_sec`` — sustained acknowledged-report throughput
   over the whole load phase (every report durably in the WAL before its
@@ -12,6 +12,10 @@ in the ``service`` section of ``BENCH_perf.json`` (schema v10):
 * ``ingest_p50_ms`` / ``ingest_p99_ms`` — per-batch ack latency;
 * ``query_p50_ms`` / ``query_p99_ms`` — ``GET /v1/estimate`` latency
   against the published snapshot (join-size queries);
+* ``wal_bytes_per_report`` (schema v11) — ``wal_bytes`` (the WAL file the
+  ingest leg leaves) over the reports it holds: a public coin plus one
+  sign bit per report, ~0.17 B at the default batch size.  CI's
+  ``--max-wal-bytes-per-report`` ceiling reads it;
 * ``throttled`` — 429 responses absorbed by the generator's retry loop
   (0 under the default shape: each connection awaits its ack before the
   next batch, so at most ``connections`` batches are ever in flight);
@@ -404,6 +408,7 @@ async def _run(total_reports: int, queries: int, data_dir: Path) -> dict:
         "query_p50_ms": float(np.percentile(query, 50)),
         "query_p99_ms": float(np.percentile(query, 99)),
         "wal_bytes": wal_bytes,
+        "wal_bytes_per_report": wal_bytes / total_reports,
         **recovery,
     }
 
@@ -617,6 +622,10 @@ def main(argv=None) -> int:
         f"(ack p50 {section['ingest_p50_ms']:.2f}ms, "
         f"p99 {section['ingest_p99_ms']:.2f}ms); query p50 "
         f"{section['query_p50_ms']:.2f}ms, p99 {section['query_p99_ms']:.2f}ms"
+    )
+    print(
+        f"[bench] WAL {section['wal_bytes']:,} bytes, "
+        f"{section['wal_bytes_per_report']:.3f} B/report"
     )
     print(
         f"[bench] in-process recovery {section['recover_reports_per_sec']:,.0f} "

@@ -59,7 +59,9 @@ every PR has a perf baseline to beat:
   adds the ``cold_start`` row: real ``python -m repro.service``
   launches over that directory, process CPU and wall time until
   ``/readyz`` answers, with ``cold_start_cpu_ms`` read by
-  ``--max-cold-start-cpu-ms``.
+  ``--max-cold-start-cpu-ms``.  Schema v11 adds
+  ``wal_bytes_per_report``: the ingest leg's WAL size over its reports,
+  read by ``--max-wal-bytes-per-report``.
 * ``baselines`` (schema v9) — the all-rows hash paths: Fast-AGMS
   ``update_batch`` throughput (values/sec) on a ``zipf-1.5`` stream and
   on an all-distinct stream of ``n`` values (hashing runs once per
@@ -106,7 +108,7 @@ from repro.hashing.kwise import MERSENNE_PRIME_31
 from repro.rng import derive_seed, ensure_rng
 from repro.sketches import FastAGMSSketch
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 #: Shard count of the ``distributed`` section (one tree of depth 3).
 DISTRIBUTED_SHARDS = 8
@@ -751,6 +753,7 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
         "query_p50_ms",
         "query_p99_ms",
         "wal_bytes",
+        "wal_bytes_per_report",
         "recover_p50_ms",
         "recover_reports_per_sec",
         "cold_start_launches",

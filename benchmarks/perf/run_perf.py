@@ -130,6 +130,14 @@ def main(argv=None) -> int:
         "directory the ingest leg left behind",
     )
     parser.add_argument(
+        "--max-wal-bytes-per-report",
+        type=float,
+        default=None,
+        metavar="B",
+        help="with --validate: fail unless the ingest leg's WAL held at most "
+        "B bytes per logged report (a public coin plus one sign bit each)",
+    )
+    parser.add_argument(
         "--max-cold-start-cpu-ms",
         type=float,
         default=None,
@@ -166,6 +174,10 @@ def main(argv=None) -> int:
             ("--min-quorum-ingest", args.min_quorum_ingest is not None),
             ("--min-window-estimate", args.min_window_estimate is not None),
             ("--min-recover", args.min_recover is not None),
+            (
+                "--max-wal-bytes-per-report",
+                args.max_wal_bytes_per_report is not None,
+            ),
             ("--max-cold-start-cpu-ms", args.max_cold_start_cpu_ms is not None),
             ("--min-fagms-update", args.min_fagms_update is not None),
         ):
@@ -322,6 +334,20 @@ def main(argv=None) -> int:
                 f"({service['recover_p50_ms']:.1f}ms for {service['n']:,.0f} "
                 f"reports)"
             )
+        if args.max_wal_bytes_per_report is not None:
+            service = payload["sections"]["service"]
+            if service["wal_bytes_per_report"] > args.max_wal_bytes_per_report:
+                print(
+                    f"[fail] WAL at {service['wal_bytes_per_report']:.3f} "
+                    f"B/report — above the "
+                    f"{args.max_wal_bytes_per_report:.3f} B ceiling"
+                )
+                return 1
+            print(
+                f"[ok] WAL at {service['wal_bytes_per_report']:.3f} B/report "
+                f"({service['wal_bytes']:,.0f} bytes for {service['n']:,.0f} "
+                f"reports)"
+            )
         if args.max_cold_start_cpu_ms is not None:
             service = payload["sections"]["service"]
             if service["cold_start_cpu_ms"] > args.max_cold_start_cpu_ms:
@@ -413,6 +439,7 @@ def main(argv=None) -> int:
         f"(ack p50 {service['ingest_p50_ms']:.2f}ms / p99 "
         f"{service['ingest_p99_ms']:.2f}ms), query p50 "
         f"{service['query_p50_ms']:.2f}ms / p99 {service['query_p99_ms']:.2f}ms, "
+        f"WAL {service['wal_bytes_per_report']:.3f} B/report, "
         f"in-process recovery {service['recover_reports_per_sec']:,.0f} reports/s, "
         f"process cold start {service['cold_start_cpu_ms']:.0f}ms CPU / "
         f"{service['cold_start_wall_ms']:.0f}ms wall"

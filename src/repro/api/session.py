@@ -48,6 +48,7 @@ from ..accumulate import scatter_add_signed_units
 from ..backend import resolve_backend, use_backend
 from ..core.client import (
     DEFAULT_CHUNK_SIZE,
+    CoinReports,
     PackedReports,
     ReportBatch,
     encode_reports_into,
@@ -250,7 +251,9 @@ class JoinSession:
     def collect(
         self,
         stream: str,
-        values: Union[np.ndarray, Sequence[int], ReportBatch, PackedReports],
+        values: Union[
+            np.ndarray, Sequence[int], ReportBatch, PackedReports, CoinReports
+        ],
         *,
         attribute: int = 0,
         seed: RandomState = None,
@@ -261,10 +264,15 @@ class JoinSession:
         ``values`` is either raw client values (the session simulates the
         Algorithm 1 clients, drawing randomness from ``seed`` or the
         session generator) or pre-encoded reports received from real
-        clients — a :class:`ReportBatch` or :class:`PackedReports`, which
-        fold by accumulation alone and draw no randomness.  Cohorts are
-        disjoint user groups, so each ``collect`` call composes in
-        parallel on the privacy ledger.
+        clients — a :class:`ReportBatch`, :class:`PackedReports` or
+        :class:`CoinReports`, which fold by accumulation alone and draw
+        no private randomness.  Cohorts are disjoint user groups, so each
+        ``collect`` call composes in parallel on the privacy ledger.
+
+        The uplink ledger charges what a client sends: ``report_bits``
+        (sign, row and column) per report, except one bit per
+        :class:`CoinReports` report, whose cell comes from the batch's
+        public coin.
 
         Simulated cohorts route through the fused
         :func:`~repro.core.client.encode_reports_into` kernel, which
@@ -278,7 +286,8 @@ class JoinSession:
         start = time.perf_counter()
         state = self._end_state(stream, attribute)
         expected = self.params_for(state.attribute)
-        if isinstance(values, (ReportBatch, PackedReports)):
+        bits_per_report = expected.report_bits
+        if isinstance(values, (ReportBatch, PackedReports, CoinReports)):
             batch = values
             if batch.params != expected:
                 raise IncompatibleSketchError(
@@ -286,7 +295,9 @@ class JoinSession:
                     f"attribute {state.attribute} parameters {expected}"
                 )
             num_new = len(batch)
-            if num_new and isinstance(batch, PackedReports):
+            if isinstance(batch, CoinReports):
+                bits_per_report = 1
+            if num_new and isinstance(batch, (PackedReports, CoinReports)):
                 cells, ys = batch.cells_and_signs()
                 with use_backend(self.backend):
                     # ``raw`` is always an owned C-contiguous array
@@ -311,7 +322,7 @@ class JoinSession:
             )
         if num_new:
             state.num_reports += num_new
-            state.uplink_bits += num_new * expected.report_bits
+            state.uplink_bits += num_new * bits_per_report
             self._charge(stream, state, "LDPJoinSketch")
             state.cached = None
         self.offline_seconds += time.perf_counter() - start

@@ -8,8 +8,11 @@ Public surface:
 * :class:`ReportBatch` — the wire format (``y``, row index, column index)
   plus communication-cost accounting;
 * :class:`PackedReports` / :func:`encode_reports_packed` — the same
-  reports packed one unsigned code per report, as the online service
-  logs and replicates them;
+  reports packed one unsigned code per report (the format of older
+  service logs);
+* :class:`CoinReports` — public-coin reports: a batch's cells drawn from
+  one public 64-bit coin and one sign bit per report, as the online
+  service logs and replicates them;
 * :class:`LDPJoinSketch` and :func:`build_sketch` — Algorithm 2 (PriSK),
   the server-side construction, with Eq. (5) join estimation and
   Theorem 7 frequency estimation;
@@ -36,6 +39,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".client": (
             "ReportBatch",
             "PackedReports",
+            "CoinReports",
             "packed_report_dtype",
             "encode_report",
             "encode_reports",

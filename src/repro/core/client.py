@@ -20,9 +20,11 @@ chunk by chunk directly into a ``(k, m)`` integer accumulator, never
 materialising the O(n) report arrays — tests pin it bit-for-bit against
 ``encode_reports`` + scatter-add under identical RNG draws.
 :func:`encode_reports_packed` runs the same draws but returns the reports
-as :class:`PackedReports` — one small unsigned code per report, the form
-the online service logs and replicates — so folding them later
-reproduces the :func:`encode_reports_into` accumulator bit for bit.
+as :class:`PackedReports` — one small unsigned code per report — so
+folding them later reproduces the :func:`encode_reports_into`
+accumulator bit for bit.  :class:`CoinReports` is the *public-coin* form
+the online service logs and replicates: the batch's cells come from one
+public 64-bit coin, so only the one-bit sign of each report is stored.
 
 Two *trial-axis* kernels extend the fused path for repeated-trial sweeps:
 
@@ -42,6 +44,7 @@ Two *trial-axis* kernels extend the fused path for repeated-trial sweeps:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -59,6 +62,7 @@ from .params import SketchParams
 __all__ = [
     "ReportBatch",
     "PackedReports",
+    "CoinReports",
     "packed_report_dtype",
     "encode_report",
     "encode_reports",
@@ -198,6 +202,196 @@ class PackedReports:
         """``(cells, ys)``: int64 flat cells ``j·m + l`` and ``±1`` payloads."""
         codes = self.codes.astype(np.int64)
         return codes >> 1, 2 * (codes & 1) - 1
+
+
+#: Public coins are 64-bit unsigned integers: ``0 <= coin < COIN_LIMIT``.
+COIN_LIMIT = 1 << 64
+
+
+@dataclass(frozen=True, eq=False)
+class CoinReports:
+    """A batch of *public-coin* Algorithm 1 reports: one coin, one bit each.
+
+    In Algorithm 1 only the sign ``y`` depends on the client's value; the
+    sampled cell ``(j, l)`` is uniform and independent of it.  A
+    public-coin batch therefore draws its cells from one public 64-bit
+    ``coin`` (the rule is :func:`_coin_cells`: uniform on ``[0, k·m)``,
+    with ``j = cell // m`` and ``l = cell % m``, the same distribution as
+    independent uniform ``j`` and ``l``) and stores per report only the
+    bit ``[y > 0]``.  Publishing the cells costs no privacy: they carry
+    no information about the value, and Algorithm 1's ε guarantee is
+    over ``y`` given ``(j, l)``.  The flips are drawn from a *separate*
+    generator that :meth:`encode` takes as its own argument, so the
+    coin cannot regenerate them.
+
+    ``bits`` is the body: ``np.packbits`` of the sign bits (big-endian
+    bit order), exactly ``⌈count/8⌉`` bytes with zero padding bits.
+    Construction validates the coin and the body (:meth:`check_body`).
+    """
+
+    coin: int
+    count: int
+    bits: np.ndarray
+    params: SketchParams
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "bits", self.check_body(self.coin, self.count, self.bits)
+        )
+        object.__setattr__(self, "coin", int(self.coin))
+        object.__setattr__(self, "count", int(self.count))
+
+    @staticmethod
+    def check_body(coin, count, body) -> np.ndarray:
+        """Validate a coin, a report count and a sign-bit body.
+
+        Returns the body as a ``uint8`` array (a view when ``body`` is a
+        byte buffer).  Raises :class:`~repro.errors.ParameterError`
+        unless ``coin`` is an integer in ``[0, 2**64)``, ``count`` a
+        non-negative integer, and ``body`` exactly ``⌈count/8⌉`` bytes
+        whose padding bits are zero.
+        """
+        _check_coin(coin)
+        if (
+            isinstance(count, bool)
+            or not isinstance(count, (int, np.integer))
+            or count < 0
+        ):
+            raise ParameterError(
+                f"report count must be a non-negative integer, got {count!r}"
+            )
+        bits = (
+            body if isinstance(body, np.ndarray) else np.frombuffer(body, dtype=np.uint8)
+        )
+        if bits.ndim != 1 or bits.dtype != np.uint8:
+            raise ParameterError(
+                f"sign bits must be a 1-D uint8 array, got {bits.dtype} shaped "
+                f"{bits.shape}"
+            )
+        if bits.size != (int(count) + 7) // 8:
+            raise ParameterError(
+                f"{bits.size}-byte sign body does not hold {int(count)} reports "
+                f"(needs {(int(count) + 7) // 8})"
+            )
+        spare = -int(count) % 8
+        if spare and int(bits[-1]) & ((1 << spare) - 1):
+            raise ParameterError("sign body has nonzero padding bits")
+        return bits
+
+    @classmethod
+    def encode(
+        cls,
+        values: Iterable[int],
+        params: SketchParams,
+        pairs: HashPairs,
+        coin: int,
+        flip_rng: RandomState,
+        *,
+        backend=None,
+    ) -> "CoinReports":
+        """Algorithm 1 over a batch of clients under the public ``coin``.
+
+        The cells come from ``coin`` alone (see the class docstring); the
+        flips are ``flip_rng.random(n) < flip_probability``, one uniform
+        per report in order, from ``flip_rng`` alone.  The unperturbed
+        signs are hashed in :data:`DEFAULT_CHUNK_SIZE` chunks on the
+        backend's fused front half.  Out-of-domain values raise
+        :class:`~repro.errors.DomainError` before anything is drawn.  The
+        returned batch already holds its cells and signs, so folding it
+        right away draws nothing again.
+        """
+        _check_pairs(params, pairs)
+        arr = as_value_array(values)
+        if arr.size and (arr.min() < 0 or arr.max() >= MERSENNE_PRIME_31):
+            raise DomainError("hash inputs must lie in [0, 2**31 - 1)")
+        n = int(arr.size)
+        cells = _coin_cells(_check_coin(coin), n, params.k * params.m)
+        flips = ensure_rng(flip_rng).random(n) < params.flip_probability
+        positive = np.empty(n, dtype=bool)
+        fused = _fused_kernel_inputs(pairs, backend, True)
+        with use_backend(backend):
+            for start in range(0, n, DEFAULT_CHUNK_SIZE):
+                stop = start + DEFAULT_CHUNK_SIZE
+                rows, cols = np.divmod(cells[start:stop], params.m)
+                _, base_signs = _base_signs(
+                    arr[start:stop], rows, cols, pairs, fused, params.m
+                )
+                # y = base sign * (1 - 2 * flip): positive exactly when the
+                # channel kept a +1 or flipped a -1.
+                positive[start:stop] = (base_signs > 0) ^ flips[start:stop]
+        reports = cls(int(coin), n, np.packbits(positive), params)
+        reports._seed_view(cells, 2 * positive.astype(np.int64) - 1)
+        return reports
+
+    def __len__(self) -> int:
+        return self.count
+
+    def body(self) -> bytes:
+        """The sign bits as logged: ``⌈count/8⌉`` bytes, zero padding."""
+        return self.bits.tobytes()
+
+    def cells_and_signs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cells, ys)``: int64 flat cells ``j·m + l`` and ``±1`` payloads.
+
+        Derived once per batch — cells from the coin, signs from the
+        body — and reused by every later fold of the same object.
+        """
+        return self._view
+
+    @cached_property
+    def _view(self) -> Tuple[np.ndarray, np.ndarray]:
+        cells = _coin_cells(self.coin, self.count, self.params.k * self.params.m)
+        signs = np.unpackbits(self.bits, count=self.count).astype(np.int64)
+        return _read_only(cells), _read_only(2 * signs - 1)
+
+    def _seed_view(self, cells: np.ndarray, ys: np.ndarray) -> None:
+        """Keep the cells and signs the encoder just computed."""
+        self.__dict__["_view"] = (_read_only(cells), _read_only(ys))
+
+
+def _check_coin(coin) -> int:
+    """``coin`` as an int; :class:`ParameterError` unless in ``[0, 2**64)``."""
+    if isinstance(coin, bool) or not isinstance(coin, (int, np.integer)):
+        raise ParameterError(f"coin must be an integer, got {coin!r}")
+    if not 0 <= int(coin) < COIN_LIMIT:
+        raise ParameterError(f"coin {int(coin)} lies outside [0, 2**64)")
+    return int(coin)
+
+
+def _coin_cells(coin: int, count: int, size: int) -> np.ndarray:
+    """The ``count`` flat cells of public coin ``coin``, uniform on ``[0, size)``.
+
+    This rule is the v4 log format, so it is written out here rather
+    than left to a NumPy ``Generator`` method (whose streams NumPy may
+    change between releases): take the raw 64-bit words of
+    ``numpy.random.PCG64(coin)`` (a bit-generator stream NumPy keeps
+    stable) in order; a word ``w >= 2**64 - 2**64 % size`` is rejected
+    and replaced by the stream's next word, rejected positions refilled
+    in ascending order; each kept word gives the cell ``w % size``.  The
+    rejection makes every cell exactly equally likely; it happens with
+    probability below ``size / 2**64`` per word.
+    """
+    return _uniform_words(np.random.PCG64(coin), count, size)
+
+
+def _uniform_words(bit_generator, count: int, size: int) -> np.ndarray:
+    """:func:`_coin_cells` over any object with ``random_raw(n) -> uint64``."""
+    words = np.asarray(bit_generator.random_raw(count), dtype=np.uint64)
+    spare = COIN_LIMIT % size
+    limit = np.uint64(COIN_LIMIT - spare) if spare else None
+    # The max is a cheap pre-check: rejections almost never happen.
+    if limit is not None and words.max(initial=0) >= limit:
+        redraw = np.flatnonzero(words >= limit)
+        while redraw.size:
+            words[redraw] = bit_generator.random_raw(redraw.size)
+            redraw = redraw[words[redraw] >= limit]
+    # Every cell is below size <= 2**63, so the int64 view is exact.
+    return np.remainder(words, np.uint64(size), out=words).view(np.int64)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def encode_report(
@@ -353,10 +547,9 @@ def encode_reports_packed(
     uniforms in exactly the :func:`encode_reports_into` order, so folding
     the returned codes into a zero accumulator reproduces that call's
     accumulator bit for bit (same generator, same ``chunk_size``).  The
-    hashing runs on the backend's fused front half
-    (:meth:`~repro.backend.base.Backend.fused_encode_shared_pass`); the
-    flip bits are applied here.  Out-of-domain values raise
-    :class:`~repro.errors.DomainError` before anything is drawn.
+    hashing runs in :func:`_base_signs`; the flip bits are applied here.
+    Out-of-domain values raise :class:`~repro.errors.DomainError` before
+    anything is drawn.
     """
     _check_pairs(params, pairs)
     if not isinstance(chunk_size, (int, np.integer)) or chunk_size <= 0:
@@ -371,25 +564,14 @@ def encode_reports_packed(
         for start in range(0, arr.size, int(chunk_size)):
             chunk = arr[start : start + int(chunk_size)]
             c = chunk.size
-            if fused is None:
-                ys, rows, cols = _encode_chunk(
-                    chunk, params, pairs, generator, domain_checked=True
-                )
-                cell = rows * np.int64(params.m) + cols
-                positive = ys > 0
-            else:
-                compute, bucket_coeffs, sign_coeffs = fused
-                rows = generator.integers(0, params.k, size=c)
-                cols = generator.integers(0, params.m, size=c)
-                flips = generator.random(c) < params.flip_probability
-                cell, base_signs = compute.fused_encode_shared_pass(
-                    bucket_coeffs, sign_coeffs, chunk.astype(np.uint64), rows,
-                    cols, params.m,
-                )
-                # y = base sign * (1 - 2 * flip): positive exactly when
-                # the unperturbed sign is +1 and the channel kept it, or
-                # it is -1 and the channel flipped it.
-                positive = (base_signs > 0) ^ flips
+            rows = generator.integers(0, params.k, size=c)
+            cols = generator.integers(0, params.m, size=c)
+            flips = generator.random(c) < params.flip_probability
+            cell, base_signs = _base_signs(chunk, rows, cols, pairs, fused, params.m)
+            # y = base sign * (1 - 2 * flip): positive exactly when the
+            # unperturbed sign is +1 and the channel kept it, or it is -1
+            # and the channel flipped it.
+            positive = (base_signs > 0) ^ flips
             codes[start : start + c] = (cell << 1) | positive
     return PackedReports(codes, params)
 
@@ -410,6 +592,34 @@ def _fused_kernel_inputs(pairs: HashPairs, backend, contiguous: bool):
     if bucket_coeffs is None or sign_coeffs is None:
         return None
     return resolve_backend(backend), bucket_coeffs, sign_coeffs
+
+
+def _base_signs(
+    chunk: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    pairs: HashPairs,
+    fused,
+    m: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat cells ``j·m + l`` and unperturbed signs of Algorithm 1 reports.
+
+    The sign of report ``i`` before the flip channel is
+    ``xi_j(d) · H_m[h_j(d), l]`` (steps 2–3 of Algorithm 1).  ``fused``
+    is :func:`_fused_kernel_inputs`'s result: the backend's fused front
+    half when available, else the generic hash path (identical output).
+    Both arrays are int64; the signs are ``±1``.
+    """
+    if fused is None:
+        buckets, sign_parity = pairs.bucket_and_sign_parity_rows(
+            rows, chunk, domain_checked=True
+        )
+        negative = sign_parity ^ sample_hadamard_parities(buckets, cols, m)
+        return rows * np.int64(m) + cols, 1 - 2 * negative.astype(np.int64)
+    compute, bucket_coeffs, sign_coeffs = fused
+    return compute.fused_encode_shared_pass(
+        bucket_coeffs, sign_coeffs, chunk.astype(np.uint64), rows, cols, m
+    )
 
 
 def encode_reports_trials_into(
@@ -612,8 +822,7 @@ def encode_reports_grouped_into(
     p_sorted = probs[order]
     shared = np.zeros(k * m, dtype=np.int64)
     bands = np.zeros((trials, num_eps, k * m), dtype=np.int64)
-    compute = resolve_backend(backend)
-    use_kernel = pairs._bucket_coeffs is not None and pairs._sign_coeffs is not None
+    fused = _fused_kernel_inputs(pairs, backend, True)
     n = arr.size
     # The context pin covers the hand-built-pairs fallback and the
     # scatter dispatches, which would otherwise follow the process-wide
@@ -624,19 +833,7 @@ def encode_reports_grouped_into(
             c = chunk.size
             rows = sampler.integers(0, k, size=c)
             cols = sampler.integers(0, m, size=c)
-            if use_kernel:
-                cell, base_signs = compute.fused_encode_shared_pass(
-                    pairs._bucket_coeffs, pairs._sign_coeffs,
-                    chunk.astype(np.uint64), rows, cols, m,
-                )
-            else:
-                buckets, sign_parity = pairs.bucket_and_sign_parity_rows(
-                    rows, chunk, domain_checked=True
-                )
-                base_signs = 1 - 2 * (
-                    sign_parity ^ sample_hadamard_parities(buckets, cols, m)
-                )
-                cell = rows * m + cols
+            cell, base_signs = _base_signs(chunk, rows, cols, pairs, fused, m)
             scatter_add_signed_units(shared, (cell,), base_signs)
             for t, generator in enumerate(generators):
                 band = np.searchsorted(p_sorted, generator.random(c), side="right")

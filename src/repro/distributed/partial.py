@@ -27,7 +27,9 @@ The fingerprint pins *parameters*; payload *bytes* are pinned separately
 by a crc32 content checksum (wire format version 2): a bit-flipped or
 truncated array payload is rejected on load with
 :class:`~repro.errors.PartialIntegrityError` instead of silently
-corrupting the merge tree.  Version-1 payloads (no checksum) still load.
+corrupting the merge tree.  Version-1 payloads (no checksum) are
+refused: ``"version": 1`` is one bit away from ``2``, so accepting it
+would let a single flipped bit switch the integrity check off.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ __all__ = [
 PARTIAL_FORMAT = "repro/partial-aggregate"
 PARTIAL_VERSION = 2
 
-#: Oldest wire version :meth:`PartialAggregate.from_dict` still reads.
-#: Version 1 predates the crc32 content checksum and loads unchecked.
-PARTIAL_MIN_VERSION = 1
+#: Oldest wire version :meth:`PartialAggregate.from_dict` reads.
+#: Version 1 predates the crc32 content checksum and is refused.
+PARTIAL_MIN_VERSION = 2
 
 #: How an array merges: element-wise integer/float add, or order-preserving
 #: concatenation along axis 0 (per-user stores such as OLH's report lists).
@@ -345,24 +347,26 @@ class PartialAggregate:
             )
         version = payload.get("version")
         if (
-            not isinstance(version, int)
+            type(version) is not int
             or not PARTIAL_MIN_VERSION <= version <= PARTIAL_VERSION
         ):
-            raise ParameterError(
+            # An older version carries no checksum and is one flipped bit
+            # away from a checked one, so it is an integrity failure.
+            old = type(version) is int and version < PARTIAL_MIN_VERSION
+            raise (PartialIntegrityError if old else ParameterError)(
                 f"unsupported partial-aggregate version {version!r} "
                 f"(this build reads versions "
                 f"{PARTIAL_MIN_VERSION}..{PARTIAL_VERSION})"
             )
         arrays_payload = payload.get("arrays", {})
-        if version >= 2:
-            recorded = payload.get("checksum")
-            actual = content_checksum(arrays_payload)
-            if recorded != actual:
-                raise PartialIntegrityError(
-                    f"partial-aggregate payload failed its content checksum "
-                    f"(recorded {recorded!r}, computed {actual}): "
-                    f"bit flip or truncation in the array data"
-                )
+        recorded = payload.get("checksum")
+        actual = content_checksum(arrays_payload)
+        if recorded != actual:
+            raise PartialIntegrityError(
+                f"partial-aggregate payload failed its content checksum "
+                f"(recorded {recorded!r}, computed {actual}): "
+                f"bit flip or truncation in the array data"
+            )
         arrays: Dict[str, np.ndarray] = {}
         ops: Dict[str, str] = {}
         for name, entry in arrays_payload.items():
@@ -371,7 +375,7 @@ class PartialAggregate:
             except ParameterError as error:
                 # decode_array rejects byte-count mismatches (a truncated
                 # base64 body that still crc-matched cannot happen, but a
-                # version-1 payload has no crc to catch it first).
+                # payload whose checksum was recomputed over it can).
                 raise PartialIntegrityError(
                     f"partial-aggregate array {name!r} failed to decode: {error}"
                 ) from error

@@ -6,8 +6,8 @@ The package turns the batch pieces — mergeable
 machinery — into a long-running, *replicated* HTTP collector:
 
 * :mod:`repro.service.wal` — crc32-framed append-only WAL of perturbed
-  (packed) reports with a fencing-epoch header, the durability boundary
-  every acknowledgement sits behind.
+  reports (a public coin plus one sign bit each) with a fencing-epoch
+  header, the durability boundary every acknowledgement sits behind.
 * :mod:`repro.service.core` — the synchronous, deterministic engine:
   WAL-sequenced folds into per-shard sessions, checkpoint cadence,
   WAL-durable idempotency ledger (exactly-once ingest), canonical
@@ -36,7 +36,13 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".core": ("AggregationService", "ServiceConfig", "Snapshot", "batch_seed"),
+        ".core": (
+            "AggregationService",
+            "ServiceConfig",
+            "Snapshot",
+            "batch_seed",
+            "batch_coin",
+        ),
         ".replication": (
             "ReplicatedService",
             "ReplicaLink",

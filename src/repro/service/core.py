@@ -14,13 +14,16 @@ The determinism chain, link by link:
 
 1.  A batch is acknowledged only after its record is in the WAL; the
     record's *sequence number* is its replay position.
-2.  Randomness is drawn once, at ingest: before the append, the batch's
-    values go through Algorithm 1 with the generator
-    ``batch_seed(service_seed, sequence)`` (a sha256 derivation), and
-    the WAL stores the resulting perturbed reports, never the values.
-    Replay, standby apply and divergence repair fold those logged
-    reports by accumulation alone and draw no randomness, so every
-    replica of the log rebuilds the same integer sums.
+2.  Private randomness is drawn once, at ingest: before the append,
+    the batch's values go through Algorithm 1 as public-coin reports
+    (:class:`~repro.core.client.CoinReports`).  The cells come from the
+    public coin ``batch_coin(service_seed, sequence)`` and the flips
+    from ``batch_seed(service_seed, sequence)`` — two independent sha256
+    derivations — and the WAL stores the coin and one sign bit per
+    report, never the values or the flip seed.  Replay, standby apply
+    and divergence repair re-derive each record's cells from its coin
+    once and fold them by accumulation alone, so every replica of the
+    log rebuilds the same integer sums.
 3.  The batch's shard is ``sequence % num_shards``; streams are
     namespaced ``tenant/stream`` on hash pairs shared by every shard, so
     shard accumulators are exact integer partial sums.
@@ -53,7 +56,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..api.session import JoinSession
-from ..core.client import PackedReports, encode_reports_packed
+from ..core.client import CoinReports, PackedReports
 from ..core.params import SketchParams
 from ..distributed.checkpoint import ShardCheckpoint
 from ..errors import (
@@ -63,7 +66,6 @@ from ..errors import (
 )
 from ..reliability.faults import fault_point
 from ..reliability.retry import RetryPolicy
-from ..rng import ensure_rng
 from ..temporal.session import TemporalSession
 from .wal import FSYNC_POLICIES, WalTear, WriteAheadLog, encode_frame
 
@@ -72,6 +74,7 @@ __all__ = [
     "ServiceConfig",
     "Snapshot",
     "batch_seed",
+    "batch_coin",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
 ]
@@ -84,17 +87,35 @@ logger = logging.getLogger("repro.service")
 
 
 def batch_seed(service_seed: int, sequence: int) -> int:
-    """The client-simulation seed of WAL record ``sequence``.
+    """The private flip seed of WAL record ``sequence``.
 
     A pure sha256 derivation of ``(service_seed, sequence)`` — no state,
     no wall clock.  It is used once per batch, at ingest: the batch's
-    raw values are perturbed (Algorithm 1) with this seed before the
-    record is appended, and the WAL keeps only the resulting reports.
-    Replay never calls it — the noise is already in the log — so a
-    service and ``JoinSession.collect(values, seed=batch_seed(seed,
-    sequence))`` hold the same accumulators.
+    Algorithm 1 flips are drawn from it before the record is appended,
+    and the WAL keeps only the resulting sign bits.  It is never logged
+    or shipped, and replay never calls it — the noise is already in the
+    log.
     """
-    material = f"repro-service:{int(service_seed)}:{int(sequence)}".encode("ascii")
+    return _derive("repro-service", service_seed, sequence)
+
+
+def batch_coin(service_seed: int, sequence: int) -> int:
+    """The public coin of WAL record ``sequence``: a 64-bit integer.
+
+    Like :func:`batch_seed` a one-way sha256 derivation of
+    ``(service_seed, sequence)``, but under its own tag, so the coin —
+    which is logged, replicated and determines the batch's sketch cells
+    — reveals nothing about the flips.  A service and a
+    ``JoinSession`` that collects ``CoinReports.encode(values, params,
+    pairs, batch_coin(seed, s), batch_seed(seed, s))`` for record ``s``
+    hold the same accumulators.
+    """
+    return _derive("repro-service-coin", service_seed, sequence)
+
+
+def _derive(tag: str, service_seed: int, sequence: int) -> int:
+    """The first 8 bytes of ``sha256(tag:seed:sequence)``, little-endian."""
+    material = f"{tag}:{int(service_seed)}:{int(sequence)}".encode("ascii")
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "little")
 
 
@@ -222,9 +243,10 @@ class AggregationService:
         # Entries ride inside WAL records ("idem" field), so the ledger is
         # WAL-durable for free — start() rebuilds it during replay.
         self._dedup: "OrderedDict[Tuple[str, str], dict]" = OrderedDict()
-        # The WAL's frames, in sequence order: replication ships (and
-        # re-ships, on standby gaps) these exact bytes, and duplicate
-        # checks compare against them.
+        # The WAL's frames, in sequence order (a public coin plus one
+        # sign bit per report, ~0.17 B/report at k=18, m=1024):
+        # replication ships (and re-ships, on standby gaps) these exact
+        # bytes, and duplicate checks compare against them.
         self._records: List[bytes] = []
         # Temporal ring (None when epoch_interval is 0).  Not checkpointed:
         # epochs are a pure function of WAL sequence numbers, so start()
@@ -295,17 +317,24 @@ class AggregationService:
             cursors.append(cursor)
         replayed = 0
         for sequence, record in enumerate(records):
-            self._count_tenant(record)
+            count = record["count"] if "coin" in record else len(record["reports"])
+            self._count_tenant(record, count)
             self._records.append(record.frame)
-            self._remember_ack(record, sequence)
+            self._remember_ack(record, sequence, count)
             shard_index = sequence % self.config.num_shards
-            if sequence < cursors[shard_index]:
+            checkpointed = sequence < cursors[shard_index]
+            if checkpointed and self._temporal is None:
+                continue
+            # One view per folded record: its cells are re-derived (from
+            # the coin) at most once, for the shard and ring folds alike.
+            reports = self._reports(record)
+            if checkpointed:
                 # Already inside this shard's checkpoint — but the
                 # temporal ring is rebuilt from the WAL alone, so every
                 # record still rolls and folds the epoch buckets.
-                self._fold_temporal(record, sequence)
+                self._fold_temporal(record, sequence, reports)
                 continue
-            self._fold(record, sequence)
+            self._fold(record, sequence, reports)
             replayed += 1
         self._folded = len(records)
         self._last_checkpoint = min(cursors) if cursors else 0
@@ -352,9 +381,10 @@ class AggregationService:
     ) -> dict:
         """Durably ingest one report batch; returns the acknowledgement.
 
-        The batch is validated and perturbed (Algorithm 1, seeded by
-        :func:`batch_seed` of the sequence it is about to take), its
-        reports are appended to the WAL (the acknowledgement boundary —
+        The batch is validated and perturbed (public-coin Algorithm 1:
+        cells from :func:`batch_coin`, flips from :func:`batch_seed` of
+        the sequence it is about to take), its coin and sign bits are
+        appended to the WAL (the acknowledgement boundary —
         once :meth:`~repro.service.wal.WriteAheadLog.append` returns, a
         crash cannot lose it), then folded into its shard under the
         retry policy.  A batch that cannot be encoded (out-of-domain or
@@ -394,11 +424,12 @@ class AggregationService:
         frame = encode_frame(record)
         sequence = self.wal.append(frame)
         self._folded = sequence + 1
-        self._count_tenant(record)
+        reports = record["reports"]  # holds the cells it was encoded with
+        self._count_tenant(record, len(reports))
         self._records.append(frame)
-        ack = self._remember_ack(record, sequence)
+        ack = self._remember_ack(record, sequence, len(reports))
         self._retry.call(
-            lambda: self._fold(record, sequence),
+            lambda: self._fold(record, sequence, reports),
             operation=f"service.ingest[{sequence}]",
         )
         self._after_append(record, sequence)
@@ -416,11 +447,31 @@ class AggregationService:
     ) -> dict:
         """Validate one batch and perturb it as WAL record ``sequence``.
 
-        Returns the record to log: the names plus the batch's packed
-        Algorithm 1 reports, drawn from ``batch_seed(seed, sequence)``
-        in the draw order of
-        :func:`~repro.core.client.encode_reports_into`.
+        Returns the record to log: the names plus the batch's
+        :class:`~repro.core.client.CoinReports` under ``reports`` — cells
+        from ``batch_coin(seed, sequence)``, flips from
+        ``batch_seed(seed, sequence)``.
         """
+        array = self._check_batch(tenant, stream, values, attribute)
+        reports = CoinReports.encode(
+            array,
+            self._params,
+            self._coordinator.pairs[int(attribute)],
+            batch_coin(self.config.seed, sequence),
+            batch_seed(self.config.seed, sequence),
+            backend=self._coordinator.backend,
+        )
+        return {
+            "tenant": tenant,
+            "stream": stream,
+            "attribute": int(attribute),
+            "reports": reports,
+        }
+
+    def _check_batch(
+        self, tenant: str, stream: str, values: Sequence[int], attribute: int
+    ) -> np.ndarray:
+        """Refuse an unusable batch; return its values as an int64 array."""
         self._check_names(tenant, stream, attribute)
         try:
             array = np.asarray(values, dtype=np.int64)
@@ -436,19 +487,7 @@ class AggregationService:
                 f"batch holds {array.size} reports, over the "
                 f"{self.config.max_batch_reports}-report admission cap; split it"
             )
-        reports = encode_reports_packed(
-            array,
-            self._params,
-            self._coordinator.pairs[int(attribute)],
-            ensure_rng(batch_seed(self.config.seed, sequence)),
-            backend=self._coordinator.backend,
-        )
-        return {
-            "tenant": tenant,
-            "stream": stream,
-            "attribute": int(attribute),
-            "reports": reports.codes,
-        }
+        return array
 
     def _check_names(self, tenant: Any, stream: Any, attribute: Any) -> None:
         """Refuse a record whose tenant, stream or attribute is unusable."""
@@ -465,14 +504,34 @@ class AggregationService:
             raise ParameterError(f"attribute must be an integer, got {attribute!r}")
         self._coordinator.params_for(int(attribute))  # bounds check
 
-    def _reports(self, record: Mapping[str, Any]) -> PackedReports:
-        """A record's logged reports, range-checked against the sketch."""
-        if "reports" not in record:
-            raise ParameterError("WAL record carries no packed reports")
-        return PackedReports(record["reports"], self._params)
+    def _reports(
+        self, record: Mapping[str, Any]
+    ) -> Union[CoinReports, PackedReports]:
+        """A record's logged reports, validated against the sketch.
 
-    def _fold(self, record: Mapping[str, Any], sequence: int) -> None:
-        """Fold one WAL record into its shard (accumulation only)."""
+        A freshly encoded record already carries its
+        :class:`~repro.core.client.CoinReports`; a decoded public-coin
+        record is rebuilt from its coin and sign bits, a coin-less
+        (version-3) record from its packed codes, range-checked.
+        """
+        reports = record.get("reports")
+        if isinstance(reports, CoinReports):
+            return reports
+        if "coin" in record:
+            return CoinReports(
+                record["coin"], record["count"], record["signs"], self._params
+            )
+        if reports is None:
+            raise ParameterError("WAL record carries no reports")
+        return PackedReports(reports, self._params)
+
+    def _fold(
+        self,
+        record: Mapping[str, Any],
+        sequence: int,
+        reports: Union[CoinReports, PackedReports],
+    ) -> None:
+        """Fold one WAL record's reports into its shard (accumulation only)."""
         shard_index = sequence % self.config.num_shards
         fault_point(
             "service.ingest",
@@ -480,42 +539,49 @@ class AggregationService:
             shard=shard_index,
             tenant=str(record["tenant"]),
         )
-        self._fold_temporal(record, sequence)
+        self._fold_temporal(record, sequence, reports)
         self._shards[shard_index].collect(
             f"{record['tenant']}/{record['stream']}",
-            self._reports(record),
+            reports,
             attribute=int(record["attribute"]),
         )
 
-    def _fold_temporal(self, record: Mapping[str, Any], sequence: int) -> None:
+    def _fold_temporal(
+        self,
+        record: Mapping[str, Any],
+        sequence: int,
+        reports: Union[CoinReports, PackedReports],
+    ) -> None:
         """Roll the epoch ring to ``sequence``'s epoch and fold the batch.
 
         The epoch is ``sequence // epoch_interval`` — a pure function of
-        the WAL position — and the batch's logged reports are the ones
-        the shard path folds, so the epoch accumulators are the same
-        integer sums.  Replay and replication therefore rebuild a
-        byte-identical ring.
+        the WAL position — and ``reports`` is the very view the shard
+        path folds, so the epoch accumulators are the same integer sums.
+        Replay and replication therefore rebuild a byte-identical ring.
         """
         if self._temporal is None:
             return
         self._temporal.roll_to(sequence // self.config.epoch_interval)
         self._temporal.collect(
             f"{record['tenant']}/{record['stream']}",
-            self._reports(record),
+            reports,
             attribute=int(record["attribute"]),
         )
 
-    def _count_tenant(self, record: Mapping[str, Any]) -> None:
+    def _count_tenant(self, record: Mapping[str, Any], count: int) -> None:
         stats = self.tenants.setdefault(
             str(record["tenant"]), {"batches": 0, "reports": 0}
         )
         stats["batches"] += 1
-        stats["reports"] += len(record["reports"])
+        stats["reports"] += int(count)
 
-    def _remember_ack(self, record: Mapping[str, Any], sequence: int) -> dict:
+    def _remember_ack(
+        self, record: Mapping[str, Any], sequence: int, count: int
+    ) -> dict:
         """Compute record ``sequence``'s ack; ledger it if idempotent.
 
-        The ack is a pure function of ``(record, sequence)``, which is
+        ``count`` is the record's report count.  The ack is a pure
+        function of ``(record, sequence)``, which is
         why replaying the WAL rebuilds the exact ledger the dying
         process held — duplicates get the same bytes either side of a
         crash.  Retention is a FIFO bound on *entries*, so one hot
@@ -524,7 +590,7 @@ class AggregationService:
         ack = {
             "sequence": int(sequence),
             "shard": int(sequence) % self.config.num_shards,
-            "reports": len(record["reports"]),
+            "reports": int(count),
         }
         key = record.get("idem")
         if key is not None:

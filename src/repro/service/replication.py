@@ -4,11 +4,12 @@
 :class:`~repro.service.core.AggregationService` with a replication layer
 whose whole design leans on one fact: the engine is a *pure function of
 the WAL*.  The primary therefore ships nothing cleverer than its own WAL
-frames — the exact crc32-framed bytes it appended, perturbed reports
-only, held verbatim in memory — and a standby verifies each one, appends
-those same bytes and folds the reports through the very same
-``append → fold → checkpoint`` path ingest uses.  No randomness is drawn
-on a standby: the noise travels inside the frame.  Two nodes that agree
+frames — the exact crc32-framed bytes it appended, a public coin and one
+perturbed sign bit per report, held verbatim in memory — and a standby
+verifies each one, appends those same bytes and folds the reports
+through the very same ``append → fold → checkpoint`` path ingest uses.
+No private randomness is drawn on a standby: the flips travel inside
+the frame, and the cells are re-derived from its coin.  Two nodes that agree
 on the record sequence are byte-identical: same WAL, same accumulators,
 same published snapshot digest.  That is the headline chaos property,
 and it is why failover needs no state transfer — the survivor already
@@ -22,7 +23,7 @@ Protocol, frame by frame::
       fold into shard
       ship {epoch, seq, frame} ───────▶ apply_replication(payload)
                                           epoch checks (fencing)
-                                          decode (crc, body) + range check
+                                          decode (crc, coin, sign body)
                                           seq == wal length? append+fold
                                           seq <  length, bytes match?
                                                               duplicate ack
@@ -502,11 +503,12 @@ class ReplicatedService(AggregationService):
         )
         if spec is not None and spec.kind in ("torn-write", "corrupt"):
             frame = base64.b64decode(self._damage(payload["frame"], spec.kind))
-        record = decode_frame(frame)  # crc-validated; ParameterError on damage
+        # crc, coin and sign-body checks; ParameterError on damage
+        record = decode_frame(frame)
         self._check_names(
             record.get("tenant"), record.get("stream"), record.get("attribute")
         )
-        self._reports(record)  # codes inside the sketch, or ParameterError
+        reports = self._reports(record)  # a foldable view, or ParameterError
         if epoch > self.wal.epoch:
             # A newer primary speaks: adopt its epoch (fsynced into the
             # WAL header) and, if we thought we led, stand down.
@@ -550,11 +552,11 @@ class ReplicatedService(AggregationService):
             raise ReplicaGapError(expected, sequence)
         applied = self.wal.append(record.frame)
         self._folded = applied + 1
-        self._count_tenant(record)
+        self._count_tenant(record, len(reports))
         self._records.append(record.frame)
-        self._remember_ack(record, applied)
+        self._remember_ack(record, applied, len(reports))
         self._retry.call(
-            lambda: self._fold(record, applied),
+            lambda: self._fold(record, applied, reports),
             operation=f"service.replicate.apply[{applied}]",
         )
         if (applied + 1) % self.config.checkpoint_interval == 0:
@@ -591,12 +593,13 @@ class ReplicatedService(AggregationService):
         self._folded = 0
         for position, frame in enumerate(keep):
             record = decode_frame(frame)
-            self._count_tenant(record)
+            reports = self._reports(record)
+            self._count_tenant(record, len(reports))
             self._records.append(frame)
-            self._remember_ack(record, position)
+            self._remember_ack(record, position, len(reports))
             self._retry.call(
-                lambda record=record, position=position: self._fold(
-                    record, position
+                lambda record=record, position=position, reports=reports: (
+                    self._fold(record, position, reports)
                 ),
                 operation=f"service.rewind[{position}]",
             )

@@ -5,14 +5,15 @@ one crc32-framed record per batch — so a ``kill -9`` at any instant
 loses at most work the client was never told succeeded.  A record holds
 the batch's *perturbed* Algorithm 1 reports, never its raw values: the
 service encodes each batch once, at ingest and before the append (see
+:func:`repro.service.core.batch_coin` and
 :func:`repro.service.core.batch_seed`), so replay, standby apply and
-divergence repair fold the logged noise by accumulation alone and draw
-no randomness.
+divergence repair fold the logged reports by accumulation alone and
+draw no private randomness.
 
-File format (version 3, little-endian)::
+File format (version 4, little-endian)::
 
     +------+---------+------------+
-    | RWHD | ver:u32 | epoch: u64 |   fixed 16-byte header, ver = 3
+    | RWHD | ver:u32 | epoch: u64 |   fixed 16-byte header, ver = 4
     +------+---------+------------+
     +----+----------+----------+------------------+
     | RW | len: u32 | crc: u32 | payload (len B)  |   one frame per record
@@ -26,16 +27,36 @@ Frame payload::
 
 ``header`` is the canonical JSON (sorted keys, fixed separators) of the
 record's scalar fields.  For a service batch those are ``tenant``,
-``stream``, ``attribute``, ``count`` (reports in the body) and, for an
-idempotent submission, ``idem``.  ``body`` holds the ``count`` packed
-report codes back to back: ``2·(j·m + l) + [y > 0]`` per report, in the
-narrowest unsigned dtype holding ``2·k·m``
-(:class:`~repro.core.client.PackedReports`; ``uint16``, two bytes per
-report, at ``k = 18, m = 1024``).  The item size is the body length over
-``count``; readers map the body with ``np.frombuffer``, so decoding
+``stream``, ``attribute``, ``count`` (reports in the body), ``coin``
+and, for an idempotent submission, ``idem``.  A version-4 batch is a
+set of *public-coin* reports (:class:`~repro.core.client.CoinReports`):
+``coin`` is a 64-bit integer from which every report's sketch cell is
+re-derived: the raw 64-bit words of ``numpy.random.PCG64(coin)`` in
+order, ``cell = word % (k·m)``, a word ``>= 2**64 - 2**64 % (k·m)``
+rejected and replaced by the next (``repro.core.client._coin_cells``;
+it does not depend on any ``numpy.random.Generator`` method), and
+``body`` is one sign bit per report — ``np.packbits`` of ``[y > 0]``,
+exactly ``⌈count/8⌉`` bytes with zero padding bits.  At ``k = 18,
+m = 1024`` a 2048-report frame is ~355 bytes, ~0.17 B per report.  The
+coin is derived from ``(seed, sequence)`` under its own sha256 tag,
+independent of the private flip seed, so nothing in a frame can
+regenerate the flips.  ``crc`` is the crc32 of the whole payload, so a
+flipped byte in header or body alike fails it.
+
+A frame **without** ``coin`` is a version-3 record and decodes as such:
+its body holds the ``count`` packed report codes
+``2·(j·m + l) + [y > 0]`` back to back, in the narrowest unsigned dtype
+holding ``2·k·m`` (:class:`~repro.core.client.PackedReports`; ``uint16``
+at ``k = 18, m = 1024``), and the item size is the body length over
+``count``.  Readers map either body with ``np.frombuffer``, so decoding
 creates no Python object per report.  A record without reports has no
-``count`` and an empty body.  ``crc`` is the crc32 of the whole payload,
-so a flipped byte in header or body alike fails it.
+``count`` and an empty body.
+
+**Version-3 logs** replay unchanged, with no converter: their frames
+are coin-less.  :meth:`WriteAheadLog.recover` rewrites such a file's
+16-byte header to version 4 (fsynced, as :meth:`WriteAheadLog.set_epoch`
+does) before anything is appended, so a build that reads only version 3
+refuses the file instead of dropping its coin frames as a torn tail.
 
 The header carries the **fencing epoch** of the replication layer
 (:mod:`repro.service.replication`): a monotonic counter bumped by every
@@ -50,9 +71,9 @@ every replay.  :meth:`WriteAheadLog.recover` raises
 :class:`~repro.errors.WalFormatError` on such a file rather than reading
 its JSON payloads as binary frames (which would drop the whole log as a
 "torn tail").  :func:`convert_raw_value_wal` rewrites one in place, once,
-encoding record ``s`` with ``batch_seed(seed, s)`` — exactly the
-randomness the old service drew when it folded that record — so the
-converted log republishes the old service's snapshot bytes.
+encoding record ``s`` as version-3 codes with ``batch_seed(seed, s)`` —
+exactly the randomness the old service drew when it folded that record
+— so the converted log republishes the old service's snapshot bytes.
 
 A crash mid ``write`` leaves a *torn tail*: a final frame whose magic,
 length, crc or byte count does not check out.
@@ -98,8 +119,10 @@ from typing import Any, Callable, Iterator, List, Mapping, Optional, Tuple, Unio
 
 import numpy as np
 
+from ..core.client import CoinReports, encode_reports_packed
 from ..errors import InjectedCrashError, ParameterError, WalFormatError
 from ..reliability.faults import fault_point
+from ..rng import ensure_rng
 
 __all__ = [
     "WriteAheadLog",
@@ -126,13 +149,17 @@ _HEADER_LENGTH = struct.Struct("<I")
 #: File header: magic, format version, fencing epoch.
 _FILE_MAGIC = b"RWHD"
 _FILE_HEADER = struct.Struct("<4sIQ")
-_WAL_VERSION = 3
+_WAL_VERSION = 4
+
+#: Format versions :meth:`WriteAheadLog.recover` reads; a version-3 file
+#: holds only coin-less frames and is upgraded in place on open.
+_READ_VERSIONS = (3, 4)
 
 #: Format versions whose frames carry raw values as JSON (refused).
 _RAW_VALUE_VERSIONS = (1, 2)
 _RAW_VALUE_REFUSAL = (
     "a raw-value log from an older build; this build logs only perturbed "
-    "reports (format version 3) and will not re-perturb raw values on "
+    "reports (format versions 3 and 4) and will not re-perturb raw values on "
     "replay — convert it once with "
     "repro.service.wal.convert_raw_value_wal(config)"
 )
@@ -151,10 +178,12 @@ _MAX_FRAME_BYTES = 256 * 1024 * 1024
 class WalRecord(dict):
     """One decoded record: its fields, plus the frame it was read from.
 
-    A plain mapping of the header fields, with ``reports`` (when the
-    record carries any) a read-only view of the packed body inside
-    :attr:`frame` — the exact crc32-framed bytes on disk, which the
-    service keeps for replication and compares in duplicate checks.
+    A plain mapping of the header fields.  A public-coin record keeps
+    ``coin`` and ``count`` and adds ``signs``, a read-only view of the
+    packed sign bits; a version-3 record adds ``reports``, a read-only
+    view of the packed codes.  :attr:`frame` holds the exact crc32-framed
+    bytes on disk, which the service keeps for replication and compares
+    in duplicate checks.
     """
 
     __slots__ = ("frame",)
@@ -167,21 +196,29 @@ def _canonical_json(obj: Any) -> bytes:
 def encode_frame(record: Mapping[str, Any]) -> bytes:
     """The crc32-framed bytes of one record, exactly as appended.
 
-    ``reports`` (optional) must be a 1-D unsigned integer array; it
-    becomes the binary body and sets the header's ``count``.  Every
-    other field goes into the canonical-JSON header.  Framing is a pure
-    function of the record, but frames are built once — at ingest — and
-    from then on stored, shipped and compared as bytes.
+    ``reports`` (optional) is either a
+    :class:`~repro.core.client.CoinReports` batch — its ``coin`` and
+    ``count`` go into the header and its sign bits become the body — or
+    a 1-D unsigned integer array of version-3 codes, which becomes the
+    body and sets ``count``.  Every other field goes into the
+    canonical-JSON header.  Framing is a pure function of the record,
+    but frames are built once — at ingest — and from then on stored,
+    shipped and compared as bytes.
     """
     header = {key: value for key, value in record.items() if key != "reports"}
-    if "count" in header:
-        raise ParameterError(
-            "record field 'count' is reserved: the frame codec sets it from "
-            "'reports'"
-        )
+    for reserved in ("count", "coin"):
+        if reserved in header:
+            raise ParameterError(
+                f"record field {reserved!r} is reserved: the frame codec sets "
+                f"it from 'reports'"
+            )
     body = b""
     reports = record.get("reports")
-    if reports is not None:
+    if isinstance(reports, CoinReports):
+        header["coin"] = reports.coin
+        header["count"] = reports.count
+        body = reports.body()
+    elif reports is not None:
         reports = np.asarray(reports)
         if reports.ndim != 1 or reports.dtype.kind != "u":
             raise ParameterError(
@@ -198,7 +235,7 @@ def encode_frame(record: Mapping[str, Any]) -> bytes:
 
 
 def _decode_payload(frame: bytes) -> WalRecord:
-    """Parse a crc-verified v3 frame; ``ValueError`` names the damage."""
+    """Parse a crc-verified v3/v4 frame; ``ValueError`` names the damage."""
     payload = memoryview(frame)[_FRAME_OVERHEAD:]
     if len(payload) < _HEADER_LENGTH.size:
         raise ValueError("payload shorter than its header-length prefix")
@@ -217,6 +254,13 @@ def _decode_payload(frame: bytes) -> WalRecord:
     record = WalRecord(header)
     record.frame = frame
     body_length = len(payload) - body_start
+    if "coin" in record:
+        # Public-coin record: the coin, count and sign bits are checked
+        # by the report type that owns the format.
+        record["signs"] = CoinReports.check_body(
+            record["coin"], record.get("count"), payload[body_start:]
+        )
+        return record
     count = record.pop("count", None)
     if count is None:
         if body_length:
@@ -323,14 +367,14 @@ def _scan(
 
 def _parse_file_header(
     path: Path, data: bytes
-) -> Tuple[int, int, Optional["WalTear"]]:
-    """``(epoch, frames_offset, header_tear)`` of a log's bytes.
+) -> Tuple[int, int, Optional["WalTear"], int]:
+    """``(epoch, frames_offset, header_tear, version)`` of a log's bytes.
 
     Raises :class:`~repro.errors.WalFormatError` for raw-value (v1/v2)
     and unknown format versions.
     """
     if not data:
-        return 0, 0, None
+        return 0, 0, None, _WAL_VERSION
     if len(data) < _FILE_HEADER.size and _FILE_MAGIC.startswith(data[:4]):
         # Torn file header: the crash hit the 16-byte create write
         # itself, so no frame can follow it and no epoch was ever
@@ -340,17 +384,20 @@ def _parse_file_header(
             0,
             len(data),
             f"truncated file header ({len(data)} of {_FILE_HEADER.size} bytes)",
-        )
+        ), _WAL_VERSION
     if data[:4] != _FILE_MAGIC:
         raise WalFormatError(path, 1, _RAW_VALUE_REFUSAL)
     _, version, epoch = _FILE_HEADER.unpack_from(data, 0)
     if version in _RAW_VALUE_VERSIONS:
         raise WalFormatError(path, version, _RAW_VALUE_REFUSAL)
-    if version != _WAL_VERSION:
+    if version not in _READ_VERSIONS:
         raise WalFormatError(
-            path, version, f"unsupported; this build reads version {_WAL_VERSION}"
+            path,
+            version,
+            f"unsupported; this build reads versions "
+            f"{', '.join(map(str, _READ_VERSIONS))}",
         )
-    return int(epoch), _FILE_HEADER.size, None
+    return int(epoch), _FILE_HEADER.size, None, int(version)
 
 
 def _fsync_dir(path: Path) -> None:
@@ -363,12 +410,13 @@ def _fsync_dir(path: Path) -> None:
 
 
 def convert_raw_value_wal(config) -> dict:
-    """Rewrite a raw-value (v1/v2) WAL as a version-3 log, once, in place.
+    """Rewrite a raw-value (v1/v2) WAL as a version-4 log, once, in place.
 
     ``config`` is the :class:`~repro.service.core.ServiceConfig` the old
     service ran with; the log is ``config.data_dir / "wal.log"``.  Record
     ``s`` is encoded the way the old service folded it — its values
-    through Algorithm 1 with ``batch_seed(config.seed, s)`` — so the
+    through Algorithm 1 with ``batch_seed(config.seed, s)``, as coin-less
+    version-3 codes (:func:`~repro.core.client.encode_reports_packed`) — so the
     converted log republishes the old service's snapshot bytes, and the
     shard checkpoints beside it stay valid.  The fencing epoch and
     idempotency keys carry over; a torn tail is dropped, as recovery
@@ -382,7 +430,7 @@ def convert_raw_value_wal(config) -> dict:
     :class:`~repro.errors.DomainError`) for a record no service could
     ever have folded.
     """
-    from .core import AggregationService  # core imports this module
+    from .core import AggregationService, batch_seed  # core imports this module
 
     path = Path(config.data_dir) / "wal.log"
     data = path.read_bytes()
@@ -398,9 +446,22 @@ def convert_raw_value_wal(config) -> dict:
     encoder = AggregationService(config)
     frames = []
     for sequence, old in enumerate(records):
-        record = encoder._encode_batch(
-            old["tenant"], old["stream"], old["values"], old.get("attribute", 0), sequence
+        attribute = old.get("attribute", 0)
+        values = encoder._check_batch(old["tenant"], old["stream"], old["values"], attribute)
+        # Version-3 codes, drawn exactly as the old service folded them.
+        reports = encode_reports_packed(
+            values,
+            encoder._params,
+            encoder._coordinator.pairs[int(attribute)],
+            ensure_rng(batch_seed(config.seed, sequence)),
+            backend=encoder._coordinator.backend,
         )
+        record = {
+            "tenant": old["tenant"],
+            "stream": old["stream"],
+            "attribute": int(attribute),
+            "reports": reports.codes,
+        }
         if "idem" in old:
             record["idem"] = old["idem"]
         frames.append(encode_frame(record))
@@ -471,7 +532,9 @@ class WriteAheadLog:
         clean log.  With ``truncate=True`` (default) the file is cut
         back to the last intact frame so :meth:`append` continues from a
         clean boundary; a tear holds at most never-acknowledged data, so
-        trimming is safe.  Also (re)initialises the sequence counter —
+        trimming is safe.  With ``truncate=True`` a version-3 header is
+        also rewritten to version 4 and fsynced, so the next append may
+        carry a coin frame.  Also (re)initialises the sequence counter —
         call this once before the first append.  A raw-value (v1/v2) log
         raises :class:`~repro.errors.WalFormatError` naming
         :func:`convert_raw_value_wal`; the file is left untouched.
@@ -482,7 +545,7 @@ class WriteAheadLog:
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             data = b""
-        epoch, base, header_tear = _parse_file_header(self.path, data)
+        epoch, base, header_tear, version = _parse_file_header(self.path, data)
         records, good_offset, tear = _scan(data[base:], base=base)
         if header_tear is not None:
             tear = header_tear
@@ -494,11 +557,16 @@ class WriteAheadLog:
                 fh.flush()
                 os.fsync(fh.fileno())
             _fsync_dir(self.path)
-        elif tear is not None and truncate:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_offset)
-                fh.flush()
-                os.fsync(fh.fileno())
+        elif truncate:
+            if tear is not None:
+                with open(self.path, "r+b") as fh:
+                    fh.truncate(good_offset)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            if version != _WAL_VERSION:
+                # A version-3 log: its frames read as they are, but the
+                # header must say 4 before a coin frame lands behind them.
+                self._write_header(self._epoch)
         self._sequence = len(records)
         self._recovered = True
         return records, tear
@@ -507,7 +575,7 @@ class WriteAheadLog:
         """``(sequence, record)`` pairs of every intact frame on disk."""
         if self.path.exists():
             data = self.path.read_bytes()
-            _, base, _ = _parse_file_header(self.path, data)
+            _, base, _, _ = _parse_file_header(self.path, data)
             records, _, _ = _scan(data[base:], base=base)
             yield from enumerate(records)
 
@@ -633,12 +701,16 @@ class WriteAheadLog:
             )
         if epoch == self._epoch:
             return self._epoch
+        self._write_header(epoch)
+        self._epoch = epoch
+        return self._epoch
+
+    def _write_header(self, epoch: int) -> None:
+        """Rewrite the 16-byte file header in place and fsync it."""
         with open(self.path, "r+b") as fh:
             fh.write(_FILE_HEADER.pack(_FILE_MAGIC, _WAL_VERSION, epoch))
             fh.flush()
             os.fsync(fh.fileno())
-        self._epoch = epoch
-        return self._epoch
 
     # ------------------------------------------------------------------
     # Introspection

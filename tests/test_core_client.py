@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.client as client
 from repro.api import JoinSession
 from repro.core import (
+    CoinReports,
     PackedReports,
     ReportBatch,
     SketchParams,
@@ -19,6 +21,7 @@ from repro.core import (
 from repro.errors import DomainError, ParameterError
 from repro.hashing import HashPairs
 from repro.transform import hadamard_matrix
+from repro.transform.hadamard import hadamard_entry
 
 
 class TestEncodeReport:
@@ -211,3 +214,202 @@ class TestPackedReports:
         params = SketchParams(k=2, m=8, epsilon=1.0)
         with pytest.raises(DomainError):
             encode_reports_packed([3, -1], params, HashPairs(2, 8, seed=0), rng=1)
+
+
+class TestCoinReports:
+    """Public-coin reports: cells from the coin, flips from their own seed."""
+
+    @staticmethod
+    def _base_sign(pairs, value, cell, m):
+        """The unperturbed report sign xi_j(d) * H[h_j(d), l] at ``cell``."""
+        j, l = divmod(int(cell), m)
+        bucket = int(pairs.bucket(j, np.array([value]))[0])
+        sign = int(pairs.sign(j, np.array([value]))[0])
+        return sign * hadamard_entry(bucket, l, m)
+
+    def test_encoder_ships_the_algorithm_1_channel(self):
+        """Pinned-seed audit of the shipped encoder at k=2, m=4, eps=1.
+
+        One fixed coin fixes the cell; over many flip seeds, an input whose
+        unperturbed sign there is +1 reports y=+1 at rate e^eps/(e^eps+1)
+        and one whose sign is -1 at 1/(e^eps+1) (chi-square, 1 dof,
+        alpha=0.001).  The likelihood ratio of either output stays within
+        e^eps times (1 + tol), tol = 4.5 standard errors of the ratio.
+        """
+        params = SketchParams(k=2, m=4, epsilon=1.0)
+        pairs = HashPairs(2, 4, seed=5)
+        coin = 2024
+        (cell,) = CoinReports.encode([0], params, pairs, coin, 0).cells_and_signs()[0]
+        signs = {v: self._base_sign(pairs, v, cell, 4) for v in range(64)}
+        plus = next(v for v in signs if signs[v] == 1)
+        minus = next(v for v in signs if signs[v] == -1)
+        trials = 6000
+        e = np.exp(params.epsilon)
+        keep = e / (e + 1)
+        rates = {}
+        for value, expected in ((plus, keep), (minus, 1 - keep)):
+            ys = np.array([
+                CoinReports.encode([value], params, pairs, coin, seed)
+                .cells_and_signs()[1][0]
+                for seed in range(trials)
+            ])
+            positives = int(np.sum(ys == 1))
+            observed = np.array([positives, trials - positives])
+            wanted = trials * np.array([expected, 1 - expected])
+            assert float(np.sum((observed - wanted) ** 2 / wanted)) < 10.828
+            rates[value] = positives / trials
+        tol = 4.5 * np.sqrt(
+            (1 - keep) / (trials * keep) + keep / (trials * (1 - keep))
+        )
+        assert rates[plus] / rates[minus] <= e * (1 + tol)
+        assert (1 - rates[minus]) / (1 - rates[plus]) <= e * (1 + tol)
+        assert rates[plus] / rates[minus] >= e * (1 - tol)
+
+    def test_cells_are_uniform_over_the_sketch(self):
+        params = SketchParams(k=2, m=4, epsilon=1.0)
+        pairs = HashPairs(2, 4, seed=5)
+        cells = np.concatenate([
+            CoinReports.encode(np.arange(4), params, pairs, coin, 0).cells_and_signs()[0]
+            for coin in range(2000)
+        ])
+        observed = np.bincount(cells, minlength=8)
+        assert observed.size == 8  # every cell lies in [0, k*m)
+        wanted = cells.size / 8
+        # chi-square, 7 dof, alpha=0.001
+        assert float(np.sum((observed - wanted) ** 2 / wanted)) < 24.322
+
+    def test_coin_fixes_the_cells_and_never_the_flips(self):
+        params = SketchParams(k=2, m=4, epsilon=1.0)
+        pairs = HashPairs(2, 4, seed=5)
+        values = np.arange(200) % 13
+        one = CoinReports.encode(values, params, pairs, 77, 1)
+        two = CoinReports.encode(values, params, pairs, 77, 2)
+        assert np.array_equal(one.cells_and_signs()[0], two.cells_and_signs()[0])
+        assert not np.array_equal(one.bits, two.bits)
+
+        def flips(coin, seed):
+            cells, ys = CoinReports.encode(
+                values, params, pairs, coin, seed
+            ).cells_and_signs()
+            base = [self._base_sign(pairs, v, c, 4) for v, c in zip(values, cells)]
+            return ys != np.array(base)
+
+        # Same flip seed under two coins: the same flips, report by report.
+        assert np.array_equal(flips(77, 9), flips(78, 9))
+        assert flips(77, 9).any()
+        # A flip seed equal to the coin draws nothing from the coin's stream.
+        assert not np.array_equal(flips(77, 77), flips(77, 9))
+
+    def test_cells_are_the_public_coin_draw(self):
+        """The v4 cell rule, pinned: any change to it or to the PCG64
+        stream would refold every logged batch differently."""
+        params = SketchParams(k=18, m=1024, epsilon=4.0)
+        pairs = HashPairs(18, 1024, seed=3)
+        coin = 2**64 - 1
+        reports = CoinReports.encode(np.arange(3000), params, pairs, coin, 4)
+        cells = reports.cells_and_signs()[0]
+        assert cells[:12].tolist() == [
+            18063, 9049, 14922, 11697, 10012, 4000,
+            13939, 2718, 5988, 17923, 5381, 3347,
+        ]
+        words = np.random.PCG64(coin).random_raw(3000)
+        assert np.array_equal(cells, (words % np.uint64(18 * 1024)).astype(np.int64))
+        small = CoinReports.encode(
+            np.arange(12), SketchParams(2, 4, 1.0), HashPairs(2, 4, seed=5), 2024, 0
+        )
+        assert small.cells_and_signs()[0].tolist() == [
+            0, 1, 1, 4, 2, 0, 7, 6, 4, 0, 0, 4
+        ]
+        # Rebuilt from the logged coin and body: the same view.
+        logged = CoinReports(reports.coin, 3000, reports.body(), params)
+        assert np.array_equal(logged.cells_and_signs()[0], cells)
+        assert np.array_equal(
+            logged.cells_and_signs()[1], reports.cells_and_signs()[1]
+        )
+        assert len(reports.body()) == 375 and len(reports) == 3000
+
+    def test_rejected_words_are_redrawn_in_order(self):
+        class Words:
+            def __init__(self, words):
+                self.words = list(words)
+
+            def random_raw(self, n):
+                taken, self.words = self.words[:n], self.words[n:]
+                return np.array(taken, dtype=np.uint64)
+
+        top = 2**64 - 1  # 2**64 % 12 == 4: words >= 2**64 - 4 are rejected
+        stream = Words([5, top, 13, top - 3, top - 1, 2**64 - 5, 30])
+        cells = client._uniform_words(stream, 4, 12)
+        # Positions 1 and 3 take the next two words in order: position 1
+        # gets top - 1 (rejected again, so it then takes 30) and position
+        # 3 gets 2**64 - 5.
+        assert cells.tolist() == [5, 30 % 12, 13 % 12, (2**64 - 5) % 12]
+        assert stream.words == []
+        # A power-of-two size rejects nothing.
+        assert client._uniform_words(Words([top]), 1, 8).tolist() == [7]
+
+    def test_fused_and_generic_paths_agree(self):
+        """Both hash paths give Algorithm 1's sign over several chunks."""
+        params = SketchParams(k=5, m=64, epsilon=1.5)
+        n = 2 * client.DEFAULT_CHUNK_SIZE + 1_000
+        values = np.random.default_rng(0).integers(0, 10_000, size=n)
+        fused = HashPairs(5, 64, seed=2)
+        generic = TestPackedReports._heterogeneous_pairs(params)
+        hadamard = hadamard_matrix(64)
+        flips = ensure_flips(12, n, params)
+        for pairs in (fused, generic):
+            cells, ys = CoinReports.encode(
+                values, params, pairs, 11, 12
+            ).cells_and_signs()
+            rows, cols = np.divmod(cells, 64)
+            expected = np.empty(n, dtype=np.int64)
+            for j in range(5):
+                mine = rows == j
+                buckets = pairs.bucket(j, values[mine])
+                expected[mine] = (
+                    pairs.sign(j, values[mine]) * hadamard[buckets, cols[mine]]
+                )
+            assert np.array_equal(ys, expected * np.where(flips, -1, 1))
+
+    def test_session_folds_coin_reports_and_charges_one_bit(self):
+        params = SketchParams(k=4, m=32, epsilon=2.0)
+        values = np.random.default_rng(1).integers(0, 500, size=3000)
+        session = JoinSession(params, seed=4)
+        reports = CoinReports.encode(values, params, session.pairs[0], 5, 6)
+        session.collect("A", reports)
+        raw = np.zeros(params.k * params.m, dtype=np.int64)
+        cells, ys = reports.cells_and_signs()
+        np.add.at(raw, cells, ys)
+        partial = session.to_partial()
+        assert np.array_equal(partial.arrays["stream:A:raw"].reshape(-1), raw)
+        assert partial.counters["stream:A:uplink_bits"] == 3000
+        assert partial.counters["stream:A:num_reports"] == 3000
+        # Raw values still charge the full report: sign, row and column.
+        session.collect("B", values, seed=6)
+        assert session.to_partial().counters["stream:B:uplink_bits"] == (
+            3000 * params.report_bits
+        )
+        with pytest.raises(Exception, match="do not match"):
+            session.collect("A", CoinReports(5, 8, b"\x00", SketchParams(4, 16, 2.0)))
+
+    def test_body_and_coin_are_validated(self):
+        params = SketchParams(k=2, m=8, epsilon=1.0)
+        CoinReports(0, 9, b"\xff\x80", params)
+        CoinReports(2**64 - 1, 0, b"", params)
+        with pytest.raises(ParameterError, match="padding"):
+            CoinReports(0, 9, b"\xff\xc0", params)
+        with pytest.raises(ParameterError, match="does not hold"):
+            CoinReports(0, 9, b"\xff", params)
+        with pytest.raises(ParameterError, match="outside"):
+            CoinReports(2**64, 8, b"\x00", params)
+        with pytest.raises(ParameterError, match="integer"):
+            CoinReports(True, 8, b"\x00", params)
+        with pytest.raises(ParameterError, match="integer"):
+            CoinReports.encode([1], params, HashPairs(2, 8, seed=0), 1.0, 2)
+        with pytest.raises(DomainError):
+            CoinReports.encode([3, -1], params, HashPairs(2, 8, seed=0), 1, 2)
+
+
+def ensure_flips(seed, n, params):
+    """The flip indicators the encoder draws from flip seed ``seed``."""
+    return np.random.default_rng(seed).random(n) < params.flip_probability

@@ -477,14 +477,18 @@ class TestPartialChecksum:
         with pytest.raises(PartialIntegrityError):
             type(partial).from_dict(payload)
 
-    def test_version_1_payload_still_loads(self):
+    def test_version_1_payload_is_refused(self):
         partial = _small_partial()
         payload = json.loads(json.dumps(partial.to_dict()))
         payload["version"] = 1
         del payload["checksum"]  # v1 payloads predate the checksum
-        clone = type(partial).from_dict(payload)
-        for key in partial.arrays:
-            np.testing.assert_array_equal(clone.arrays[key], partial.arrays[key])
+        with pytest.raises(PartialIntegrityError):
+            type(partial).from_dict(payload)
+        # ``True == 1`` and ``1.0 == 1``, but neither is a version.
+        for version in (True, 1.0, 2.0):
+            payload["version"] = version
+            with pytest.raises(ParameterError, match="unsupported"):
+                type(partial).from_dict(payload)
 
     def test_future_version_is_rejected(self):
         payload = _small_partial().to_dict()

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.api import JoinSession
-from repro.core import SketchParams
+from repro.core import CoinReports, SketchParams
 from repro.distributed import PartialAggregate
 from repro.errors import (
     DomainError,
@@ -41,7 +41,12 @@ from repro.service import (
     ServiceServer,
     WriteAheadLog,
 )
-from repro.service.core import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, batch_seed
+from repro.service.core import (
+    SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
+    batch_coin,
+    batch_seed,
+)
 
 TENANT = "acme"
 
@@ -67,6 +72,17 @@ def make_config(data_dir, **overrides) -> ServiceConfig:
     )
     base.update(overrides)
     return ServiceConfig(**base)
+
+
+def service_reports(session, values, sequence: int, seed: int = 11) -> CoinReports:
+    """The public-coin reports the service logs for record ``sequence``."""
+    return CoinReports.encode(
+        values,
+        session.params,
+        session.pairs[0],
+        batch_coin(seed, sequence),
+        batch_seed(seed, sequence),
+    )
 
 
 def run_to_digest(data_dir, batches, **overrides) -> str:
@@ -218,6 +234,21 @@ class TestServiceConfig:
         assert len(seeds) == 64
         assert batch_seed(11, 0) != batch_seed(12, 0)
 
+    def test_logged_coin_is_not_the_flip_seed(self, tmp_path):
+        """The public coin and the private flip seed never coincide."""
+        coins = {batch_coin(11, sequence) for sequence in range(64)}
+        seeds = {batch_seed(11, sequence) for sequence in range(64)}
+        assert len(coins) == 64 and not coins & seeds
+        assert batch_coin(11, 0) == batch_coin(11, 0) != batch_coin(12, 0)
+        assert all(0 <= coin < 2**64 for coin in coins)
+        service = AggregationService(make_config(tmp_path))
+        service.start()
+        service.ingest(TENANT, "A", [1, 2, 3])
+        frame = service._records[0]
+        service.close()
+        assert str(batch_coin(11, 0)).encode() in frame
+        assert str(batch_seed(11, 0)).encode() not in frame
+
 
 class TestAggregationService:
     def test_ingest_acknowledgement(self, tmp_path):
@@ -322,7 +353,7 @@ class TestAggregationService:
         direct = JoinSession(SketchParams(3, 32, 2.0), seed=11)
         for sequence, (tenant, stream, values) in enumerate(batches):
             direct.collect(
-                f"{tenant}/{stream}", values, seed=batch_seed(11, sequence)
+                f"{tenant}/{stream}", service_reports(direct, values, sequence)
             )
         expected = direct.estimate(f"{TENANT}/A", f"{TENANT}/B")
         answer = service.estimate(TENANT, "A", "B")
@@ -444,13 +475,12 @@ class TestPartialWireVersionBoundary:
         session.collect("A", np.arange(50) % 7, seed=9)
         return session.to_partial(include_timing=False).to_dict()
 
-    def test_v1_payload_still_loads(self):
+    def test_v1_payload_is_refused(self):
         payload = self._payload()
-        reference = PartialAggregate.from_dict(json.loads(json.dumps(payload)))
         payload["version"] = 1
         del payload["checksum"]  # v1 predates the content checksum
-        loaded = PartialAggregate.from_dict(payload)
-        assert loaded == reference
+        with pytest.raises(PartialIntegrityError, match="version 1"):
+            PartialAggregate.from_dict(payload)
 
     def test_future_version_rejected_with_documented_message(self):
         payload = self._payload()
@@ -458,19 +488,24 @@ class TestPartialWireVersionBoundary:
         with pytest.raises(
             ParameterError,
             match=r"unsupported partial-aggregate version 3 \(this build "
-            r"reads versions 1\.\.2\)",
+            r"reads versions 2\.\.2\)",
         ):
             PartialAggregate.from_dict(payload)
 
-    def test_v1_truncated_array_is_still_typed(self):
-        """Without a crc, a v1 payload relies on the byte-count gate."""
-        payload = self._payload()
-        payload["version"] = 1
-        del payload["checksum"]
+    def test_v1_downgrade_cannot_skip_the_checksum(self):
+        """One flipped data character plus ``"version": 1`` is refused.
+
+        ASCII ``2`` -> ``1`` is a one-bit flip, so a corrupted v2
+        payload must not load by claiming the checksum-free version.
+        """
+        payload = json.loads(json.dumps(self._payload()))
         name = sorted(payload["arrays"])[0]
         entry = payload["arrays"][name]["data"]
-        keep = max(4, (len(entry["data"]) // 2) // 4 * 4)  # valid b64 padding
-        entry["data"] = entry["data"][:keep]
+        data = entry["data"]
+        entry["data"] = ("B" if data[0] != "B" else "C") + data[1:]
+        with pytest.raises(PartialIntegrityError, match="checksum"):
+            PartialAggregate.from_dict(payload)
+        payload["version"] = 1
         with pytest.raises(PartialIntegrityError):
             PartialAggregate.from_dict(payload)
 
@@ -842,7 +877,8 @@ class TestTemporalService:
         for sequence, (tenant, stream, values) in enumerate(batches):
             direct.roll_to(sequence // self.INTERVAL)
             direct.collect(
-                f"{tenant}/{stream}", values, seed=batch_seed(11, sequence)
+                f"{tenant}/{stream}",
+                service_reports(direct, values, sequence),
             )
 
         for window in (1, 2, 3):

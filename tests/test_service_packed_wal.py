@@ -1,17 +1,25 @@
-"""Tests for the perturbed-report WAL (format version 3).
+"""Tests for the perturbed-report WAL (format version 4, public coins).
 
 The service perturbs each batch once, at ingest, and from then on logs,
-replicates and replays only the packed Algorithm 1 reports:
+replicates and replays only its public-coin Algorithm 1 reports — the
+batch's coin plus one sign bit per report:
 
 * **Byte identity** — a service and its quorum standby publish exactly
-  the snapshot bytes of a reference built with
-  ``JoinSession.collect(values, seed=batch_seed(seed, sequence))``,
-  including a batch that spans several encode chunks.
+  the snapshot bytes of a reference that folds
+  ``CoinReports.encode(values, ..., batch_coin(seed, s), batch_seed(seed,
+  s))`` for record ``s`` into ``JoinSession`` shards, including a batch that
+  spans several encode chunks.
 * **No raw values** — every WAL frame and every replication frame has a
-  header without a ``values`` key; each body is exactly
-  ``count × itemsize`` bytes and every decoded cell lies in the sketch.
+  header without a ``values`` key; each body is exactly ``⌈count/8⌉``
+  bytes with zero padding bits.
 * **Damage** — a flipped byte inside the binary body fails the crc, as
-  a torn tail on disk and as a typed rejection in ``decode_frame``.
+  a torn tail on disk and as a typed rejection in ``decode_frame``; a
+  frame whose coin or sign body does not check out is refused by a
+  standby before its WAL append, and cut as a tear on recovery.
+* **Existing logs** — a version-3 log (packed codes) replays to the
+  digest the version-3 service published, is upgraded to a version-4
+  header on open, and takes coin frames after its code frames.  A
+  version-4 log's bytes and the digest it replays to are pinned.
 * **Conversion** — a version-2 raw-value WAL is refused with a typed
   error naming the converter, and after conversion republishes the
   digest the old service published for it.
@@ -29,8 +37,15 @@ import numpy as np
 import pytest
 
 from repro.api import JoinSession
-from repro.core import DEFAULT_CHUNK_SIZE, SketchParams, packed_report_dtype
+from repro.core import (
+    DEFAULT_CHUNK_SIZE,
+    CoinReports,
+    SketchParams,
+    encode_reports_packed,
+    packed_report_dtype,
+)
 from repro.errors import ParameterError, WalFormatError
+from repro.rng import ensure_rng
 from repro.service import (
     AggregationService,
     LocalReplica,
@@ -38,7 +53,12 @@ from repro.service import (
     ServiceConfig,
     WriteAheadLog,
 )
-from repro.service.core import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, batch_seed
+from repro.service.core import (
+    SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
+    batch_coin,
+    batch_seed,
+)
 from repro.service.wal import convert_raw_value_wal, decode_frame, encode_frame
 
 TENANT = "acme"
@@ -73,17 +93,23 @@ def make_batches():
 def reference_payload(batches) -> bytes:
     """The snapshot bytes the service must publish, built with the public API.
 
-    Record ``s`` is simulated by ``JoinSession.collect`` with
-    ``batch_seed(SEED, s)`` on shard ``s % SHARDS``; the shards merge into
+    Record ``s`` is encoded with the public coin ``batch_coin(SEED, s)``
+    and the flip seed ``batch_seed(SEED, s)`` and folded by
+    ``JoinSession.collect`` on shard ``s % SHARDS``; the shards merge into
     one session exactly as the service's publish does.
     """
     params = SketchParams(K, M, EPSILON)
     coordinator = JoinSession(params, seed=SEED)
     shards = [coordinator.spawn_shard() for _ in range(SHARDS)]
     for sequence, (tenant, stream, values) in enumerate(batches):
-        shards[sequence % SHARDS].collect(
-            f"{tenant}/{stream}", values, seed=batch_seed(SEED, sequence)
+        reports = CoinReports.encode(
+            values,
+            params,
+            coordinator.pairs[0],
+            batch_coin(SEED, sequence),
+            batch_seed(SEED, sequence),
         )
+        shards[sequence % SHARDS].collect(f"{tenant}/{stream}", reports)
     merged = JoinSession(params, pairs=coordinator.pairs)
     for shard in shards:
         merged.merge(shard.to_partial(include_timing=False))
@@ -97,7 +123,7 @@ def reference_payload(batches) -> bytes:
 
 
 def frame_parts(frame: bytes):
-    """``(header, body)`` of a v3 frame, parsed by hand from the layout."""
+    """``(header, body)`` of a frame, parsed by hand from the layout."""
     assert frame[:2] == b"RW"
     length, crc = struct.unpack_from("<II", frame, 2)
     payload = frame[10:]
@@ -107,10 +133,17 @@ def frame_parts(frame: bytes):
     return header, payload[4 + head_length :]
 
 
+def raw_frame(header: dict, body: bytes) -> bytes:
+    """A well-crc'd frame around any header and body, built by hand."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = struct.pack("<I", len(head)) + head + body
+    return b"RW" + struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
 def wal_frames(path):
-    """Every frame of a v3 WAL file, split at the frame boundaries."""
+    """Every frame of a v4 WAL file, split at the frame boundaries."""
     data = path.read_bytes()
-    assert data[:4] == b"RWHD" and struct.unpack_from("<I", data, 4)[0] == 3
+    assert data[:4] == b"RWHD" and struct.unpack_from("<I", data, 4)[0] == 4
     frames, offset = [], 16
     while offset < len(data):
         (length,) = struct.unpack_from("<I", data, offset + 2)
@@ -120,6 +153,19 @@ def wal_frames(path):
 
 
 def assert_perturbed_frame(frame: bytes) -> None:
+    """A public-coin frame: names, coin, count, and one bit per report."""
+    header, body = frame_parts(frame)
+    assert "values" not in header
+    assert set(header) <= {"tenant", "stream", "attribute", "count", "coin", "idem"}
+    assert type(header["coin"]) is int and 0 <= header["coin"] < 2**64
+    count = header["count"]
+    assert len(body) == (count + 7) // 8
+    if count % 8:
+        assert body[-1] & ((1 << (8 - count % 8)) - 1) == 0  # zero padding
+
+
+def assert_code_frame(frame: bytes) -> None:
+    """A coin-less (version-3) frame: one packed code per report."""
     header, body = frame_parts(frame)
     assert "values" not in header
     assert set(header) <= {"tenant", "stream", "attribute", "count", "idem"}
@@ -195,6 +241,7 @@ class TestPerturbedReportWal:
         header, _ = frame_parts(frame)
         assert header == {
             "attribute": 0,
+            "coin": batch_coin(SEED, 0),
             "count": 3,
             "idem": "once",
             "stream": "A",
@@ -231,7 +278,8 @@ class TestPerturbedReportWal:
         frame = service._records[0]
         service.close()
         record = decode_frame(frame)
-        assert len(record["reports"]) == 40 and record.frame == frame
+        assert record["count"] == 40 and len(record["signs"]) == 5
+        assert record.frame == frame
         damaged = frame[:-1] + bytes([frame[-1] ^ 0x80])
         with pytest.raises(ParameterError, match="crc32"):
             decode_frame(damaged)
@@ -252,6 +300,183 @@ class TestPerturbedReportWal:
             standby.apply_replication(payload)
         assert len(standby.wal) == 0  # refused before the append
         standby.close()
+
+    @pytest.mark.parametrize(
+        "coin, count, body, damage",
+        [
+            (5, 9, b"\x00", "does not hold"),  # 1 byte for 9 reports
+            (5, 8, b"\x00\x00", "does not hold"),  # 2 bytes for 8 reports
+            (5, 9, b"\x00\x01", "padding"),  # the last pad bit set
+            (2**64, 8, b"\x00", "outside"),
+            (-1, 8, b"\x00", "outside"),
+            (1.5, 8, b"\x00", "integer"),
+            ("5", 8, b"\x00", "integer"),
+            (5, None, b"", "count"),
+        ],
+    )
+    def test_standby_refuses_bad_coin_frames_before_append(
+        self, tmp_path, coin, count, body, damage
+    ):
+        header = {"tenant": TENANT, "stream": "A", "attribute": 0, "coin": coin}
+        if count is not None:
+            header["count"] = count
+        frame = raw_frame(header, body)
+        standby = ReplicatedService(make_config(tmp_path), role="standby")
+        standby.start()
+        payload = {
+            "epoch": 0,
+            "sequence": 0,
+            "frame": base64.b64encode(frame).decode("ascii"),
+        }
+        with pytest.raises(ParameterError, match=damage):
+            standby.apply_replication(payload)
+        assert len(standby.wal) == 0  # refused before the append
+        standby.close()
+
+        # The same frame on disk is a tear: recovery cuts it off.
+        wal = WriteAheadLog(tmp_path / "disk" / "wal.log")
+        wal.recover()
+        wal.append(raw_frame(dict(header, coin=7, count=8), b"\x00"))
+        wal.append(frame)
+        wal.close()
+        records, tear = WriteAheadLog(tmp_path / "disk" / "wal.log").recover()
+        assert len(records) == 1 and records[0]["coin"] == 7
+        assert tear is not None and "undecodable" in tear.reason
+
+    def test_body_is_one_bit_per_report(self, tmp_path):
+        service = AggregationService(make_config(tmp_path))
+        service.start()
+        values = np.arange(2048) % 997
+        service.ingest(TENANT, "A", values)
+        frame = service._records[0]
+        service.close()
+        header, body = frame_parts(frame)
+        assert header["count"] == 2048 and len(body) == 256
+        record = decode_frame(frame)
+        params = SketchParams(K, M, EPSILON)
+        cells, ys = CoinReports(
+            record["coin"], record["count"], record["signs"], params
+        ).cells_and_signs()
+        pairs = JoinSession(params, seed=SEED).pairs[0]
+        fresh = CoinReports.encode(
+            values, params, pairs, batch_coin(SEED, 0), batch_seed(SEED, 0)
+        )
+        assert np.array_equal(cells, fresh.cells_and_signs()[0])
+        assert np.array_equal(ys, fresh.cells_and_signs()[1])
+
+
+# ---------------------------------------------------------------------------
+# Version-3 logs (packed codes) replay and upgrade in place
+# ---------------------------------------------------------------------------
+#: sha256 of the ``wal.log`` the version-3 service wrote for
+#: ``raw_value_batches()`` under ``make_config`` (odd batches carried the
+#: idempotency key ``key<i>``); that service published
+#: ``RAW_VALUE_SERVICE_DIGEST`` for it.
+V3_WAL_SHA256 = "1aa9ac3316345d26edd5c92be9ead212373596f9f599d59fef853869fe13aa16"
+
+
+def write_v3_wal(path) -> bytes:
+    """The version-3 log for ``raw_value_batches()``: packed codes.
+
+    Record ``s`` holds ``encode_reports_packed(values, ...,
+    batch_seed(SEED, s))`` codes, as the version-3 service logged it.
+    """
+    params = SketchParams(K, M, EPSILON)
+    pairs = JoinSession(params, seed=SEED).pairs[0]
+    chunks = [struct.pack("<4sIQ", b"RWHD", 3, 0)]
+    for sequence, (tenant, stream, values) in enumerate(raw_value_batches()):
+        codes = encode_reports_packed(
+            values, params, pairs, ensure_rng(batch_seed(SEED, sequence))
+        ).codes
+        record = {"tenant": tenant, "stream": stream, "attribute": 0, "reports": codes}
+        if sequence % 2:
+            record["idem"] = f"key{sequence}"
+        chunks.append(encode_frame(record))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = b"".join(chunks)
+    path.write_bytes(data)
+    return data
+
+
+class TestVersion3Log:
+    def test_v3_log_replays_upgrades_and_takes_coin_frames(self, tmp_path):
+        path = tmp_path / "wal.log"
+        data = write_v3_wal(path)
+        assert hashlib.sha256(data).hexdigest() == V3_WAL_SHA256
+
+        service = AggregationService(make_config(tmp_path))
+        recovery = service.start()
+        assert recovery["wal_records"] == 6 and recovery["torn_tail"] is None
+        # The header says 4 before anything is appended; the frames are
+        # untouched.
+        upgraded = path.read_bytes()
+        assert struct.unpack_from("<I", upgraded, 4)[0] == 4
+        assert upgraded[16:] == data[16:]
+        service.publish()
+        assert service.snapshot.digest == RAW_VALUE_SERVICE_DIGEST
+        old_frames = wal_frames(path)
+        for frame in old_frames:
+            assert_code_frame(frame)
+        ack = service.ingest(TENANT, "B", [1], idempotency_key="key1")
+        assert ack["deduplicated"] and ack["sequence"] == 1
+
+        service.ingest(TENANT, "A", [4, 5, 6])
+        service.publish()
+        digest = service.snapshot.digest
+        service.close()
+        frames = wal_frames(path)
+        assert frames[:6] == old_frames
+        assert_perturbed_frame(frames[6])
+        assert frame_parts(frames[6])[0]["coin"] == batch_coin(SEED, 6)
+
+        # Mixed code and coin frames replay to the same bytes.
+        restarted = AggregationService(make_config(tmp_path))
+        restarted.start()
+        restarted.publish()
+        assert restarted.snapshot.digest == digest
+        restarted.close()
+
+    def test_read_only_recovery_leaves_a_v3_header(self, tmp_path):
+        path = tmp_path / "wal.log"
+        data = write_v3_wal(path)
+        records, tear = WriteAheadLog(path).recover(truncate=False)
+        assert len(records) == 6 and tear is None
+        assert path.read_bytes() == data
+
+
+# ---------------------------------------------------------------------------
+# Version-4 logs are pinned: the frames and the cells replayed from them
+# ---------------------------------------------------------------------------
+#: sha256 of the version-4 ``wal.log`` this build writes for
+#: ``raw_value_batches()`` under ``make_config`` (odd batches carry the
+#: idempotency key ``key<i>``), and the snapshot digest it publishes.
+#: The log pins the coins, the flips and the frame layout; the digest
+#: after a restart pins the coin -> cell rule, which the log does not
+#: store.  Either changing means existing logs would fold differently.
+V4_WAL_SHA256 = "dc74d8ee0f4c18e9dc280b0ebf73a74bf27f69c89ce929208e2a5f825520fe0a"
+V4_SERVICE_DIGEST = (
+    "7097dceb34569b227e208fad89c66ffafa3ecc2d2c3c5f8ae066771e5e752920"
+)
+
+
+class TestVersion4Log:
+    def test_v4_log_and_its_replay_are_pinned(self, tmp_path):
+        service = AggregationService(make_config(tmp_path))
+        service.start()
+        for sequence, (tenant, stream, values) in enumerate(raw_value_batches()):
+            key = f"key{sequence}" if sequence % 2 else None
+            service.ingest(tenant, stream, values, idempotency_key=key)
+        service.publish()
+        assert service.snapshot.digest == V4_SERVICE_DIGEST
+        service.close()
+        data = (tmp_path / "wal.log").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == V4_WAL_SHA256
+
+        restarted = AggregationService(make_config(tmp_path))
+        restarted.start()
+        restarted.publish()
+        assert restarted.snapshot.digest == V4_SERVICE_DIGEST
+        restarted.close()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +540,7 @@ class TestRawValueConversion:
         assert summary["torn_tail"] is None
         assert (tmp_path / "wal.log.v2").exists()
         for frame in wal_frames(tmp_path / "wal.log"):
-            assert_perturbed_frame(frame)
+            assert_code_frame(frame)
 
         service = AggregationService(config)
         recovery = service.start()
